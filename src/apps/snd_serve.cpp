@@ -11,11 +11,15 @@
 // grow or shrink it afterwards with kEvent requests. A kShutdown request
 // (or EOF in --stdio mode) stops the daemon. See docs/SERVICE.md for the
 // frame layouts and epoch semantics.
+//
+// SIGPIPE is ignored: a client that closes before reading its reply makes
+// write_exact fail with EPIPE, which drops only that client.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -130,6 +134,7 @@ int serve_socket(service::ValidationService& service, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::signal(SIGPIPE, SIG_IGN);
   obs::ObsConfig obs_config;
   util::cli::DriverSpec spec(
       "snd_serve",

@@ -226,7 +226,6 @@ Sha256& Sha256::update_framed(std::string_view text) {
 
 Digest Sha256::finalize() {
   assert(!finalized_);
-  finalized_ = true;
 
   const std::uint64_t bit_length = total_bytes_ * 8;
   // The 0x80 marker, zero run, and length field go through one update() as a
@@ -241,6 +240,9 @@ Digest Sha256::finalize() {
         static_cast<std::uint8_t>(bit_length >> (8 * (7 - i)));
   update(std::span(trailer.data(), pad + 8));
   assert(buffered_ == 0);
+  // Marked only now: the trailer goes through update(), which asserts the
+  // context is still open.
+  finalized_ = true;
 
   Digest out;
   for (int i = 0; i < 8; ++i) store_be32(out.bytes.data() + 4 * i, state_[static_cast<std::size_t>(i)]);

@@ -7,11 +7,11 @@
 // avoids any per-event node allocation or hash-map traffic. Actions are
 // small-buffer-optimized (util::InplaceFunction) for the same reason --
 // std::function would heap-allocate every delivery closure. Cancellation is
-// the rare case and uses a side set consulted lazily on pop.
+// the rare case and uses a windowed bitset over event ids, consulted lazily
+// on pop.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.h"
@@ -29,8 +29,6 @@ using EventAction = util::InplaceFunction<void(), 88>;
 
 class Scheduler {
  public:
-  Scheduler();
-
   /// Schedules `action` at absolute time `at`. Events in the past of the
   /// current clock are clamped to "now" (fire next).
   EventId schedule_at(Time at, EventAction action);
@@ -54,9 +52,7 @@ class Scheduler {
   /// Size of the lazy-cancellation side set; bounded by
   /// pending() + kCancelSweepSlack however many cancel-after-fire calls a
   /// long-running simulation makes (exposed so tests can pin the bound).
-  [[nodiscard]] std::uint64_t cancelled_backlog() const {
-    return soa_ ? cancelled_count_ : static_cast<std::uint64_t>(cancelled_.size());
-  }
+  [[nodiscard]] std::uint64_t cancelled_backlog() const { return cancelled_count_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Test hook: fast-forwards the event-id counter (e.g. to just below
@@ -105,21 +101,17 @@ class Scheduler {
   /// Next live entry's time without popping; false if empty.
   bool peek(Time& at);
 
-  /// Membership/removal against whichever cancel representation is active.
+  /// Membership/removal against the cancel window.
   [[nodiscard]] bool cancelled_contains(EventId id) const;
   void cancelled_erase(EventId id);
+  /// Forgets every recorded cancellation (only valid with an empty heap).
+  void clear_cancelled();
 
   Time now_ = Time::zero();
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;
-  /// Cancel-set representation, captured at construction (util::soa_enabled()).
-  /// Cancellation semantics are identical either way, so runs stay
-  /// bit-identical across the switch.
-  const bool soa_;
-  /// Seed representation: hash set of cancelled ids.
-  mutable std::unordered_set<EventId> cancelled_;
-  /// SoA representation: one bit per event id in the window
+  /// Cancelled ids: one bit per event id in the window
   /// [bits_base_, next_id_). bits_base_ never exceeds the oldest pending
   /// id, so any id below it provably fired already and its cancel is a
   /// no-op. The window is grown lazily on cancel and rebased (shrunk to the

@@ -6,8 +6,9 @@
 // one-at-a-time seed paths at startup (for A/B bit-identity checks and the
 // before/after micro benchmarks). Both paths make identical decisions in
 // identical order -- CI asserts the fig3 event stream and the fig4 canonical
-// report byte-identical across the switch, mirroring SND_CRYPTO_FAST and
-// SND_SOA.
+// report byte-identical across the switch. It is the one remaining runtime
+// switch of this kind because it still shows a measured win and its scalar
+// paths are the fallback on CPUs without the wide kernels.
 //
 // The tier probe answers "which wide kernel may run", resolved once from
 // CPUID (GCC/Clang __builtin_cpu_supports) on x86-64 and falling back to the

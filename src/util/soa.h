@@ -1,21 +1,11 @@
-// Process-wide switch for the data-oriented (struct-of-arrays) state
-// layout: flat sorted arrays instead of per-node std::map/std::set, packet
-// pooling in sim::Network, and the scheduler's windowed-bitset cancel set.
-//
-// Defaults to on; the environment variable SND_SOA=0|off|false selects the
-// seed object-per-node layout at startup (for A/B bit-identity checks and
-// the before/after scale benchmarks). Both layouts make identical decisions
-// in identical order -- CI asserts the fig3 event stream and the fig4
-// canonical report byte-identical across the switch, mirroring the
-// SND_CRYPTO_FAST gate.
-//
-// Containers capture the flag at construction, so flip it (tests only)
-// before building the Network/SndDeployment under measurement.
+// The flat sorted-array (struct-of-arrays) state layout is the only layout;
+// see util/flat.h.
 #pragma once
 
 namespace snd::util {
 
-[[nodiscard]] bool soa_enabled();
-void set_soa_enabled(bool enabled);
+/// Always true. Kept solely so the repository benchmark's report can keep
+/// printing it as provenance.
+[[nodiscard]] constexpr bool soa_enabled() { return true; }
 
 }  // namespace snd::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "util/simd.h"
 
 namespace snd::core {
@@ -135,67 +138,51 @@ TEST_F(MessengerTest, SendFailsWithoutPairwiseKey) {
   EXPECT_FALSE(alice_->send(1, 9, {1}, snd::obs::Phase::kOther));
 }
 
-// RAII helper: runs a block with the crypto fast path forced on or off and
-// restores the previous setting afterwards.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : previous_(crypto::fast_path_enabled()) {
-    crypto::set_fast_path_enabled(enabled);
-  }
-  ~FastPathGuard() { crypto::set_fast_path_enabled(previous_); }
-
- private:
-  bool previous_;
-};
-
-TEST_F(MessengerTest, FastAndSlowPathsProduceIdenticalPackets) {
-  // Same identity/device/keys => same nonce sequence; the packets (payload,
-  // nonce, MAC) must match byte for byte between the two paths.
+TEST_F(MessengerTest, MacIsShortMacOverSerializedMessage) {
+  // The streamed, midstate-cached MAC must equal the one-shot
+  // crypto::short_mac under the pairwise key over
+  // src | dst | type | len | payload | nonce, serialized here from scratch.
+  // Covers both send() and send_many() (the multi-buffer path when SIMD is
+  // on).
+  std::vector<sim::Packet> captured;
+  network_.set_receiver(bob_device_, [&](const sim::Packet& p) { captured.push_back(p); });
   const util::Bytes payload = {9, 8, 7, 6, 5};
-  sim::Packet fast_packet;
-  sim::Packet slow_packet;
-  {
-    FastPathGuard guard(true);
-    Messenger sender(network_, alice_device_, 1, keys_);
-    network_.set_receiver(bob_device_, [&](const sim::Packet& p) { fast_packet = p; });
-    ASSERT_TRUE(sender.send(2, 9, payload, snd::obs::Phase::kOther));
-    run();
-  }
-  {
-    FastPathGuard guard(false);
-    Messenger sender(network_, alice_device_, 1, keys_);
-    network_.set_receiver(bob_device_, [&](const sim::Packet& p) { slow_packet = p; });
-    ASSERT_TRUE(sender.send(2, 9, payload, snd::obs::Phase::kOther));
-    run();
-  }
-  EXPECT_EQ(fast_packet.payload, slow_packet.payload);
-  EXPECT_EQ(fast_packet.type, slow_packet.type);
+  ASSERT_TRUE(alice_->send(2, 9, payload, obs::Phase::kOther));
+  const std::vector<Messenger::Outgoing> burst = {
+      {.to = 2, .type = 4, .payload = {}, .phase = obs::Phase::kOther},
+      {.to = 2, .type = 7, .payload = util::Bytes(300, 0xab), .phase = obs::Phase::kOther}};
+  ASSERT_EQ(alice_->send_many(burst), 2u);
+  run();
+  ASSERT_EQ(captured.size(), 3u);
 
-  // And either path's receiver accepts the other path's packet.
-  {
-    FastPathGuard guard(false);
-    Messenger receiver(network_, bob_device_, 2, keys_);
-    EXPECT_TRUE(receiver.open(fast_packet).has_value());
-  }
-  {
-    FastPathGuard guard(true);
-    Messenger receiver(network_, bob_device_, 2, keys_);
-    EXPECT_TRUE(receiver.open(slow_packet).has_value());
-  }
-}
+  const auto key = keys_->pairwise(1, 2);
+  ASSERT_TRUE(key.has_value());
+  // Arrival order follows airtime, not send order; the types tell the
+  // three messages apart.
+  const std::map<std::uint8_t, const util::Bytes*> sent_by_type = {
+      {9, &payload}, {4, &burst[0].payload}, {7, &burst[1].payload}};
+  for (std::size_t i = 0; i < captured.size(); ++i) {
+    const sim::Packet& packet = captured[i];
+    ASSERT_TRUE(sent_by_type.contains(packet.type));
+    const util::Bytes& sent = *sent_by_type.at(packet.type);
+    ASSERT_EQ(packet.payload.size(), sent.size() + Messenger::kAuthOverhead);
+    util::ByteReader tail(std::span(packet.payload).subspan(sent.size()));
+    const auto nonce = tail.u64();
+    const auto mac = tail.bytes_view(crypto::kShortMacSize);
+    ASSERT_TRUE(nonce && mac);
 
-TEST_F(MessengerTest, SlowPathStillRejectsReplayAndAcceptsFreshTraffic) {
-  FastPathGuard guard(false);
-  alice_->send(2, 9, {1}, snd::obs::Phase::kOther);
-  run();
-  ASSERT_EQ(accepted_, 1);
-  sim::Packet replay = last_packet_;
-  network_.transmit(eve_device_, std::move(replay), obs::Phase::kAttack);
-  run();
-  EXPECT_EQ(accepted_, 1);
-  alice_->send(2, 9, {2}, snd::obs::Phase::kOther);
-  run();
-  EXPECT_EQ(accepted_, 2);
+    util::Bytes input;
+    util::put_u32(input, 1);
+    util::put_u32(input, 2);
+    util::put_u8(input, packet.type);
+    util::put_var_bytes(input, sent);
+    util::put_u64(input, *nonce);
+    const crypto::ShortMac expected = crypto::short_mac(*key, input);
+    EXPECT_EQ(util::Bytes(mac->begin(), mac->end()),
+              util::Bytes(expected.begin(), expected.end()))
+        << "message " << i;
+    EXPECT_TRUE(bob_->open(packet).has_value()) << "message " << i;
+  }
 }
 
 TEST_F(MessengerTest, BootEpochOutrunsStaleTrafficAfterReboot) {

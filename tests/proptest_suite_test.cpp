@@ -1,10 +1,13 @@
 // The property harness's own tests: every invariant oracle provably fires
 // on a hand-built violating observation (no vacuous oracles), trials are
-// deterministic, and the planted-bug pipeline -- catch, shrink to a minimal
-// plan, emit a FAILCASE, replay it bit-identically -- works end to end.
+// deterministic and match committed golden digests, and the planted-bug
+// pipeline -- catch, shrink to a minimal plan, emit a FAILCASE, replay it
+// bit-identically -- works end to end.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "proptest/oracles.h"
 #include "proptest/runner.h"
@@ -228,21 +231,45 @@ struct PlantedBugGuard {
   ~PlantedBugGuard() { fault::set_planted_bug(fault::PlantedBug::kNone); }
 };
 
+/// Observation digests of trials 0..15 at base seed 1, in trial order.
+/// Recorded at commit 9dc311d, built RelWithDebInfo with GCC 12.2.0
+/// (Debian 12.2.0-14) on x86-64. That commit still had environment switches
+/// for the seed std::map/std::set state layout and the uncached MAC path;
+/// all four settings of the two gave this same table. These trials draw no
+/// libm transcendental (positions and distances use only IEEE arithmetic
+/// and sqrt).
+const std::vector<std::string> kCleanSuiteDigests = {
+    "2319d80c5530d38935c7c933a758d9282d44cecaea11560871ca8df6f6646595",
+    "f40369f7d7bcb7c9e1ad828ed54e3f34c593bf13d26b315df767d39468d19373",
+    "b164c934b970aa25f256f3f1060a594ac872b2a9e71f8b612202fc492ccdd457",
+    "49c4656b91328b0e926820d6deded46841f54ea1cc199ebe47ca53ba11e8567b",
+    "e28d20fb7bc5e262d81c8737c30ac1317a05993e65c64d19c44a5c00a69340f0",
+    "2c22d46f43568c059a40904ff7b20a194bef8fcbd14a4b369fc3e27f98950a01",
+    "bf6c2c423429184d64d9c10b792c0f782ce85dfc2fdae36679ab761549b74ef9",
+    "5651019c3d7a5b9d83273fb5a2cc4c4373d5a24cc78daea0716f5498350a2b00",
+    "ed1ae45b1391c00db7a89b3ad32576f5c4285457b56a8db48d6fe824490a468f",
+    "8d4d6e5256ff41d540ca11a46b6651e42771266a27c6c976112d99897a1b2101",
+    "2abf153b62a000d39472963e7e1863a51312dd6c6d4851d6c12b7ef769b54f48",
+    "efe2dc2304be2378ae4a63f86f3bd05999a4dae8b1f715e78c32182781c43fb4",
+    "a4d2f8544fa09f9fe6c0d6554a1ce66f69a497f2fa751c8aead0cffbfc031847",
+    "d3e369a72bf341c96eb50922d0c9a1d12071d90c0b0a7ad94e0eb66191eb175b",
+    "579f3c58b84826323d19050bc310a2d546a521b2278a78cb292b8bd9982054a9",
+    "4651172c6935bec7872261065e6fe57d821878173a05261ed15ca2f1814d2b03",
+};
+
 TEST(PropSuiteTest, CleanSuiteIsAllGreen) {
   PropConfig config;
   config.trials = 16;
-  config.base_seed = 7;
+  config.base_seed = 1;
   config.jobs = 1;
-  config.ab_every = 8;
   config.failcase_dir.clear();  // no artifacts from the green path
   const PropReport report = run_property_suite(config);
   EXPECT_EQ(report.passed, 16u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.errored, 0u);
-  EXPECT_EQ(report.ab_mismatches, 0u);
-  EXPECT_GE(report.ab_checked, 2u);
   EXPECT_TRUE(report.all_green());
   EXPECT_TRUE(report.failcases.empty());
+  EXPECT_EQ(report.digests, kCleanSuiteDigests);
 }
 
 TEST(PropSuiteTest, PlantedBugIsCaughtShrunkAndReplayedBitIdentically) {
@@ -252,7 +279,6 @@ TEST(PropSuiteTest, PlantedBugIsCaughtShrunkAndReplayedBitIdentically) {
   config.trials = 30;
   config.base_seed = 1;
   config.jobs = 1;
-  config.ab_every = 0;  // the A/B pass is exercised by CleanSuiteIsAllGreen
   config.max_failures = 2;
   config.failcase_dir = ::testing::TempDir();
   const PropReport report = run_property_suite(config);
@@ -299,7 +325,6 @@ TEST(PropSuiteTest, PlantedReplayWindowBypassIsCaughtAndReplayed) {
   config.trials = 8;
   config.base_seed = 7;
   config.jobs = 1;
-  config.ab_every = 0;
   config.max_failures = 1;
   config.failcase_dir = ::testing::TempDir();
   const PropReport report = run_property_suite(config);
@@ -336,7 +361,6 @@ TEST(PropSuiteTest, PlantedVerifyBypassIsCaughtUnderSybilFlood) {
   config.trials = 8;
   config.base_seed = 3;
   config.jobs = 1;
-  config.ab_every = 0;
   config.max_failures = 1;
   config.failcase_dir = ::testing::TempDir();
   const PropReport report = run_property_suite(config);
