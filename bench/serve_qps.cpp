@@ -15,8 +15,8 @@
 // functional topology from scratch and asserts the incrementally-maintained
 // snapshot serializes byte-identically (--verify-rebuild, on by default;
 // exit 1 on divergence). Results go to BENCH_serve.json: QPS plus
-// us_per_query_p50/p99, which ci/bench_trend.py picks up automatically
-// ("us_per" keys are trend-gated).
+// query.us_per_query_p50/p99 and ingest.us_per_event_p50/p99, which
+// ci/bench_trend.py picks up automatically ("us_per" keys are trend-gated).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -63,10 +63,11 @@ bool read_exact(int fd, std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// MSG_NOSIGNAL: a vanished daemon is an I/O error here, not a SIGPIPE.
 bool write_exact(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
+    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -197,7 +198,11 @@ int main(int argc, char** argv) {
                              util::Vec2{rng.uniform(0.0, width), rng.uniform(0.0, width)});
     }
     const auto start = Clock::now();
-    service.seed_topology(bootstrap);
+    const service::ApplyResult seeded = service.seed_topology(bootstrap);
+    if (!seeded.ok) {
+      std::cerr << "serve_qps: " << seeded.error << "\n";
+      return 2;
+    }
     std::printf("bootstrap: %.2f s, %zu validated edges\n", since_ns(start) / 1e9,
                 service.snapshot()->validated_edge_count());
   }
@@ -306,13 +311,17 @@ int main(int argc, char** argv) {
                 "    \"us_per_query_p99\": %.4f,\n"
                 "    \"us_per_query_mean\": %.4f\n"
                 "  },\n"
-                "  \"ingest_us_p99\": %.2f,\n"
+                "  \"ingest\": {\n"
+                "    \"us_per_event_p50\": %.2f,\n"
+                "    \"us_per_event_p99\": %.2f\n"
+                "  },\n"
                 "  \"accepted_fraction\": %.4f,\n"
                 "  \"equivalence_gate\": %s\n"
                 "}\n",
                 socket_mode ? "socket" : "inproc", queries, nodes,
                 static_cast<std::size_t>(ingest_ns.count()), wall_s, qps, p50_us, p99_us,
                 latency_ns.mean() / 1e3,
+                ingest_ns.count() > 0 ? ingest_ns.percentile(50.0) / 1e3 : 0.0,
                 ingest_ns.count() > 0 ? ingest_ns.percentile(99.0) / 1e3 : 0.0,
                 static_cast<double>(accepted) / static_cast<double>(queries),
                 equivalent ? "true" : "false");

@@ -175,7 +175,11 @@ int main(int argc, char** argv) {
       bootstrap.emplace_back(static_cast<NodeId>(i),
                              util::Vec2{rng.uniform(0.0, width), rng.uniform(0.0, width)});
     }
-    service.seed_topology(bootstrap);
+    const service::ApplyResult seeded = service.seed_topology(bootstrap);
+    if (!seeded.ok) {
+      std::fprintf(stderr, "snd_serve: %s\n", seeded.error.c_str());
+      return 2;
+    }
   }
 
   if (stdio) {

@@ -30,24 +30,24 @@ void append_list(std::string& out, const topology::NeighborList& list) {
 
 bool Snapshot::validate(NodeId u, NodeId v) const {
   const NodeState* state = find(u);
-  return state != nullptr && nodes_->contains(v) &&
+  return state != nullptr && nodes_.contains(v) &&
          topology::contains(state->validated, v);
 }
 
 std::size_t Snapshot::validated_edge_count() const {
   std::size_t count = 0;
-  for (const auto& [id, state] : *nodes_) count += state->validated.size();
+  for (const auto& [id, state] : nodes_) count += state->validated.size();
   return count;
 }
 
 std::string Snapshot::canonical_json() const {
   std::string out;
-  out.reserve(64 * nodes_->size() + 64);
+  out.reserve(64 * nodes_.size() + 64);
   out += "{\"t\":" + std::to_string(threshold_t_) + ",\"radio_range\":";
   append_double(out, radio_range_);
   out += ",\"nodes\":[";
   bool first = true;
-  for (const auto& [id, state] : *nodes_) {
+  for (const auto& [id, state] : nodes_) {
     if (!first) out += ',';
     first = false;
     out += "{\"id\":" + std::to_string(id) + ",\"pos\":[";

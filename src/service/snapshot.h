@@ -1,12 +1,12 @@
 // Immutable, versioned views of the service's functional topology.
 //
-// The service answers F(u, v) from a Snapshot: an epoch number plus a map
-// from live node to an immutable per-node state (position, tentative
-// neighbor list N(u), validated functional list). Per-node states are held
-// by shared_ptr and shared across snapshots -- ingesting an event clones
-// only the nodes inside the affected radio disc, so consecutive snapshots
-// share almost all of their payload and readers holding an old epoch cost
-// nothing but its retention.
+// The service answers F(u, v) from a Snapshot: an epoch number plus the
+// NodeTable of live nodes' immutable states (position, tentative neighbor
+// list N(u), validated functional list). Consecutive snapshots share every
+// table chunk and per-node state an event did not touch -- ingesting an
+// event path-copies only the chunks above the nodes inside the affected
+// radio disc -- so readers holding an old epoch cost nothing but its
+// retention.
 //
 // canonical_json() / digest() deliberately exclude the epoch: they describe
 // the topology itself, so an incrementally-maintained snapshot and a
@@ -16,35 +16,19 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "topology/graph.h"
-#include "util/flat.h"
-#include "util/geometry.h"
+#include "service/node_table.h"
 #include "util/ids.h"
 
 namespace snd::service {
 
-/// Everything the service knows about one live node. Immutable once
-/// published (always held as shared_ptr<const NodeState>).
-struct NodeState {
-  util::Vec2 position;
-  /// N(u): tentative neighbors, i.e. live nodes within radio range. Sorted.
-  topology::NeighborList neighbors;
-  /// Functional neighbors: v in neighbors with |N(u) ∩ N(v)| >= t+1. Sorted.
-  topology::NeighborList validated;
-};
-
 class Snapshot {
  public:
-  using NodeMap = util::FlatMap<NodeId, std::shared_ptr<const NodeState>>;
-
-  /// `nodes` must be non-null and is shared, not copied: the service hands
-  /// the same immutable map to the snapshot it publishes and to the next
-  /// epoch's copy-on-write base.
+  /// `nodes` is shared, not copied: the service hands the same committed
+  /// table to the snapshot it publishes and to the next epoch's edit.
   Snapshot(std::uint64_t epoch, std::size_t threshold_t, double radio_range,
-           std::shared_ptr<const NodeMap> nodes)
+           NodeTable nodes)
       : epoch_(epoch), threshold_t_(threshold_t), radio_range_(radio_range),
         nodes_(std::move(nodes)) {}
 
@@ -56,12 +40,9 @@ class Snapshot {
   /// F(u, v) at this epoch: both live, v in u's validated list.
   [[nodiscard]] bool validate(NodeId u, NodeId v) const;
 
-  [[nodiscard]] const NodeState* find(NodeId id) const {
-    const auto* entry = nodes_->find(id);
-    return entry != nullptr ? entry->get() : nullptr;
-  }
-  [[nodiscard]] std::size_t node_count() const { return nodes_->size(); }
-  [[nodiscard]] const NodeMap& nodes() const { return *nodes_; }
+  [[nodiscard]] const NodeState* find(NodeId id) const { return nodes_.find(id); }
+  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] const NodeTable& nodes() const { return nodes_; }
 
   /// Directed functional-neighbor edge count (each accepted pair counts
   /// twice, matching Digraph conventions).
@@ -78,7 +59,7 @@ class Snapshot {
   std::uint64_t epoch_;
   std::size_t threshold_t_;
   double radio_range_;
-  std::shared_ptr<const NodeMap> nodes_;
+  NodeTable nodes_;
 };
 
 }  // namespace snd::service

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,15 +15,16 @@ namespace snd::service {
 
 namespace {
 
-/// Packs the two signed cell coordinates into one map key.
-std::uint64_t pack_cell(std::int32_t cx, std::int32_t cy) {
+/// Packs the two signed cell coordinates (int32 range, see
+/// SpatialGrid::indexable) into one map key.
+std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
   const auto ux = static_cast<std::uint32_t>(cx);
   const auto uy = static_cast<std::uint32_t>(cy);
   return (static_cast<std::uint64_t>(ux) << 32) | uy;
 }
 
-std::int32_t cell_coord(double v, double cell) {
-  return static_cast<std::int32_t>(std::floor(v / cell));
+std::int64_t cell_coord(double v, double cell) {
+  return static_cast<std::int64_t>(std::floor(v / cell));
 }
 
 /// Sorted-list insert/erase returning whether the list changed.
@@ -39,16 +42,32 @@ bool erase_value(topology::NeighborList& list, NodeId v) {
   return true;
 }
 
+ApplyResult unindexable(std::string_view what, NodeId id) {
+  return ApplyResult::failure(std::string(what) + ": node " + std::to_string(id) +
+                              " position is not finite or beyond the grid's int32 cell range");
+}
+
 }  // namespace
 
+bool SpatialGrid::indexable(util::Vec2 position) const {
+  // A 5x5 block around the cell, plus one cell of rounding slack in the
+  // disc bounds; NaN and infinities fail every comparison.
+  constexpr double kLo = std::numeric_limits<std::int32_t>::min() + 3.0;
+  constexpr double kHi = std::numeric_limits<std::int32_t>::max() - 3.0;
+  const double cx = std::floor(position.x / cell_);
+  const double cy = std::floor(position.y / cell_);
+  return cx >= kLo && cx <= kHi && cy >= kLo && cy <= kHi;
+}
+
 void SpatialGrid::insert(NodeId id, util::Vec2 position) {
-  cells_.get_or_insert(cell_key(position)).push_back(id);
+  cells_.get_or_insert(cell_key(position)).push_back({id, position});
 }
 
 void SpatialGrid::erase(NodeId id, util::Vec2 position) {
   auto* bucket = cells_.find(cell_key(position));
   if (bucket == nullptr) return;
-  const auto it = std::find(bucket->begin(), bucket->end(), id);
+  const auto it = std::find_if(bucket->begin(), bucket->end(),
+                               [id](const Entry& entry) { return entry.id == id; });
   if (it != bucket->end()) bucket->erase(it);
   if (bucket->empty()) cells_.erase(cell_key(position));
 }
@@ -57,24 +76,19 @@ std::uint64_t SpatialGrid::cell_key(util::Vec2 position) const {
   return pack_cell(cell_coord(position.x, cell_), cell_coord(position.y, cell_));
 }
 
-std::vector<NodeId> SpatialGrid::query_disc(
-    util::Vec2 center, double radius,
-    const util::FlatMap<NodeId, util::Vec2>& positions) const {
+std::vector<NodeId> SpatialGrid::query_disc(util::Vec2 center, double radius) const {
   const double r2 = radius * radius;
-  const std::int32_t x_lo = cell_coord(center.x - radius, cell_);
-  const std::int32_t x_hi = cell_coord(center.x + radius, cell_);
-  const std::int32_t y_lo = cell_coord(center.y - radius, cell_);
-  const std::int32_t y_hi = cell_coord(center.y + radius, cell_);
+  const std::int64_t x_lo = cell_coord(center.x - radius, cell_);
+  const std::int64_t x_hi = cell_coord(center.x + radius, cell_);
+  const std::int64_t y_lo = cell_coord(center.y - radius, cell_);
+  const std::int64_t y_hi = cell_coord(center.y + radius, cell_);
   std::vector<NodeId> result;
-  for (std::int32_t cx = x_lo; cx <= x_hi; ++cx) {
-    for (std::int32_t cy = y_lo; cy <= y_hi; ++cy) {
+  for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
+    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
       const auto* bucket = cells_.find(pack_cell(cx, cy));
       if (bucket == nullptr) continue;
-      for (const NodeId id : *bucket) {
-        const auto* position = positions.find(id);
-        if (position != nullptr && util::distance_squared(*position, center) <= r2) {
-          result.push_back(id);
-        }
+      for (const Entry& entry : *bucket) {
+        if (util::distance_squared(entry.position, center) <= r2) result.push_back(entry.id);
       }
     }
   }
@@ -83,45 +97,60 @@ std::vector<NodeId> SpatialGrid::query_disc(
 }
 
 ValidationService::ValidationService(ServiceConfig config)
-    : config_(config), grid_(config.radio_range),
-      map_(std::make_shared<const Snapshot::NodeMap>()) {
+    : config_(config), grid_(config.radio_range) {
   current_ = std::make_shared<const Snapshot>(epoch_, config_.threshold_t,
-                                              config_.radio_range, map_);
+                                              config_.radio_range, table_);
 }
 
 topology::NeighborList ValidationService::derive_neighbors(NodeId id,
                                                            util::Vec2 position) const {
-  topology::NeighborList neighbors =
-      grid_.query_disc(position, config_.radio_range, positions_);
+  topology::NeighborList neighbors = grid_.query_disc(position, config_.radio_range);
   // query_disc includes the node itself when indexed; N(u) excludes u.
   const auto self = std::lower_bound(neighbors.begin(), neighbors.end(), id);
   if (self != neighbors.end() && *self == id) neighbors.erase(self);
   return neighbors;
 }
 
-topology::NeighborList ValidationService::derive_validated(
-    NodeId id, const Snapshot::NodeMap& nodes) const {
-  const auto* state = nodes.find(id);
+topology::NeighborList ValidationService::derive_validated(NodeId id,
+                                                           const NodeTable& nodes) const {
+  const NodeState* state = nodes.find(id);
   topology::NeighborList validated;
   if (state == nullptr) return validated;
-  const topology::NeighborList& mine = (*state)->neighbors;
+  const topology::NeighborList& mine = state->neighbors;
   for (const NodeId other : mine) {
-    const auto* peer = nodes.find(other);
+    const NodeState* peer = nodes.find(other);
     if (peer == nullptr) continue;
-    if (core::meets_threshold(mine, (*peer)->neighbors, config_.threshold_t)) {
+    if (core::meets_threshold(mine, peer->neighbors, config_.threshold_t)) {
       validated.push_back(other);
     }
   }
   return validated;  // `mine` is sorted, so validated is too
 }
 
-NodeState ValidationService::clone_state(const Snapshot::NodeMap& nodes, NodeId id) {
-  return **nodes.find(id);
+void ValidationService::derive_table(std::span<const std::pair<NodeId, util::Vec2>> nodes,
+                                     NodeTable::Editor& table) const {
+  std::vector<std::shared_ptr<NodeState>> states;
+  states.reserve(nodes.size());
+  for (const auto& [id, position] : nodes) {
+    auto state = std::make_shared<NodeState>();
+    state->position = position;
+    state->neighbors = derive_neighbors(id, position);
+    table.set(id, state);
+    states.push_back(std::move(state));
+  }
+  // Validated lists read every tentative list, so they come second; the
+  // states are not published yet, so they are completed in place.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    states[i]->validated = derive_validated(nodes[i].first, table.table());
+  }
 }
 
 ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
-                                            Snapshot::NodeMap& nodes) {
+                                            NodeTable::Editor& nodes) {
   const NodeId id = event.node;
+  if (event.kind != EventKind::kRevoke && !grid_.indexable(event.position)) {
+    return unindexable(event_kind_name(event.kind), id);
+  }
 
   // Pre-existing nodes inside the event's radio disc(s). `gain` / `lose`
   // are the (disjoint) subsets whose tentative list picks up / drops the
@@ -135,47 +164,43 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
 
   switch (event.kind) {
     case EventKind::kDeploy: {
-      if (positions_.contains(id)) {
+      if (nodes.find(id) != nullptr) {
         return ApplyResult::failure("deploy: node " + std::to_string(id) +
                                     " already live");
       }
-      positions_.insert_or_assign(id, event.position);
       grid_.insert(id, event.position);
       auto state = std::make_shared<NodeState>();
       state->position = event.position;
       state->neighbors = derive_neighbors(id, event.position);
       gain = state->neighbors;
       process = gain;
-      nodes.insert_or_assign(id, std::move(state));
+      nodes.set(id, std::move(state));
       break;
     }
     case EventKind::kRevoke: {
-      const auto* position = positions_.find(id);
-      if (position == nullptr) {
+      const NodeState* state = nodes.find(id);
+      if (state == nullptr) {
         return ApplyResult::failure("revoke: node " + std::to_string(id) +
                                     " not live");
       }
-      lose = (*nodes.find(id))->neighbors;
+      lose = state->neighbors;
       process = lose;
-      grid_.erase(id, *position);
-      positions_.erase(id);
+      grid_.erase(id, state->position);
       nodes.erase(id);
       live_after = false;
       break;
     }
     case EventKind::kUpdate: {
-      const auto* position = positions_.find(id);
-      if (position == nullptr) {
+      const NodeState* state = nodes.find(id);
+      if (state == nullptr) {
         return ApplyResult::failure("update: node " + std::to_string(id) +
                                     " not live");
       }
-      const topology::NeighborList old_neighbors = (*nodes.find(id))->neighbors;
-      grid_.erase(id, *position);
-      positions_.insert_or_assign(id, event.position);
+      grid_.erase(id, state->position);
       grid_.insert(id, event.position);
-      NodeState moved = clone_state(nodes, id);
-      moved.position = event.position;
-      moved.neighbors = derive_neighbors(id, event.position);
+      // The moved node's validated list is re-derived below.
+      NodeState moved{event.position, derive_neighbors(id, event.position), {}};
+      const topology::NeighborList& old_neighbors = state->neighbors;
       const topology::NeighborList& new_neighbors = moved.neighbors;
       std::set_difference(new_neighbors.begin(), new_neighbors.end(),
                           old_neighbors.begin(), old_neighbors.end(),
@@ -186,7 +211,7 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
       std::set_union(old_neighbors.begin(), old_neighbors.end(),
                      new_neighbors.begin(), new_neighbors.end(),
                      std::back_inserter(process));
-      nodes.insert_or_assign(id, std::make_shared<const NodeState>(std::move(moved)));
+      nodes.set(id, std::make_shared<const NodeState>(std::move(moved)));  // may free *state
       break;
     }
   }
@@ -197,15 +222,15 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
   // a subset of N(a) by construction, and `id` is the only id whose
   // membership this event can change.
   for (const NodeId a : gain) {
-    NodeState next = clone_state(nodes, a);
+    NodeState next = *nodes.find(a);
     insert_value(next.neighbors, id);
-    nodes.insert_or_assign(a, std::make_shared<const NodeState>(std::move(next)));
+    nodes.set(a, std::make_shared<const NodeState>(std::move(next)));
   }
   for (const NodeId a : lose) {
-    NodeState next = clone_state(nodes, a);
+    NodeState next = *nodes.find(a);
     erase_value(next.neighbors, id);
     erase_value(next.validated, id);
-    nodes.insert_or_assign(a, std::make_shared<const NodeState>(std::move(next)));
+    nodes.set(a, std::make_shared<const NodeState>(std::move(next)));
   }
 
   // Pass 2: recheck exactly the pairs the event can have flipped. A pair's
@@ -215,28 +240,26 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
   topology::NeighborList affected = process;
   if (live_after) insert_value(affected, id);
   for (const NodeId a : process) {
-    const NodeState& current = **nodes.find(a);
+    const NodeState& current = *nodes.find(a);
     const topology::NeighborList candidates =
         topology::intersect(current.neighbors, affected);
     if (candidates.empty()) continue;
     NodeState next = current;
     bool changed = false;
     for (const NodeId v : candidates) {
-      const NodeState& peer = **nodes.find(v);
+      const NodeState& peer = *nodes.find(v);
       if (core::meets_threshold(next.neighbors, peer.neighbors, config_.threshold_t)) {
         changed |= insert_value(next.validated, v);
       } else {
         changed |= erase_value(next.validated, v);
       }
     }
-    if (changed) {
-      nodes.insert_or_assign(a, std::make_shared<const NodeState>(std::move(next)));
-    }
+    if (changed) nodes.set(a, std::make_shared<const NodeState>(std::move(next)));
   }
   if (live_after) {
-    NodeState next = clone_state(nodes, id);
-    next.validated = derive_validated(id, nodes);
-    nodes.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
+    NodeState next = *nodes.find(id);
+    next.validated = derive_validated(id, nodes.table());
+    nodes.set(id, std::make_shared<const NodeState>(std::move(next)));
   }
 
   // The only tentative lists this event changed are those of gain/lose
@@ -247,7 +270,7 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
     std::set_union(gain.begin(), gain.end(), lose.begin(), lose.end(),
                    std::back_inserter(dirty));
     insert_value(dirty, id);
-    refresh_commitments(dirty, nodes);
+    refresh_commitments(dirty, nodes.table());
   }
 
   ++events_applied_;
@@ -255,19 +278,19 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
 }
 
 void ValidationService::refresh_commitments(std::span<const NodeId> ids,
-                                            const Snapshot::NodeMap& nodes) {
+                                            const NodeTable& nodes) {
   if (!config_.master_key.present() || ids.empty()) return;
   std::vector<core::BindingSpec> specs;
   std::vector<NodeId> live;
   specs.reserve(ids.size());
   live.reserve(ids.size());
   for (const NodeId id : ids) {
-    const auto* state = nodes.find(id);
+    const NodeState* state = nodes.find(id);
     if (state == nullptr) {
       commitments_.erase(id);
       continue;
     }
-    specs.push_back({id, 0, &(*state)->neighbors});
+    specs.push_back({id, 0, &state->neighbors});
     live.push_back(id);
   }
   std::vector<crypto::Digest> digests(specs.size());
@@ -278,49 +301,38 @@ void ValidationService::refresh_commitments(std::span<const NodeId> ids,
 }
 
 ApplyResult ValidationService::apply(const TopologyEvent& event) {
-  Snapshot::NodeMap nodes = *map_;
+  NodeTable::Editor nodes(table_);
   const ApplyResult result = apply_locked(event, nodes);
-  if (result.ok) publish(std::move(nodes));
+  if (result.ok) publish(nodes);
   return result;
 }
 
 std::size_t ValidationService::apply_all(std::span<const TopologyEvent> events) {
-  Snapshot::NodeMap nodes = *map_;
+  NodeTable::Editor nodes(table_);
   std::size_t applied = 0;
   for (const TopologyEvent& event : events) {
     if (apply_locked(event, nodes).ok) ++applied;
   }
-  publish(std::move(nodes));
+  publish(nodes);
   return applied;
 }
 
-void ValidationService::seed_topology(
+ApplyResult ValidationService::seed_topology(
     std::span<const std::pair<NodeId, util::Vec2>> nodes) {
   for (const auto& [id, position] : nodes) {
-    positions_.insert_or_assign(id, position);
-    grid_.insert(id, position);
+    if (!grid_.indexable(position)) return unindexable("seed", id);
   }
-  Snapshot::NodeMap map;
-  map.reserve(nodes.size());
-  for (const auto& [id, position] : nodes) {
-    auto state = std::make_shared<NodeState>();
-    state->position = position;
-    state->neighbors = derive_neighbors(id, position);
-    map.insert_or_assign(id, std::move(state));
-  }
-  for (const auto& [id, position] : nodes) {
-    topology::NeighborList validated = derive_validated(id, map);
-    NodeState next = clone_state(map, id);
-    next.validated = std::move(validated);
-    map.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
-  }
+  for (const auto& [id, position] : nodes) grid_.insert(id, position);
+  NodeTable::Editor table{NodeTable{}};
+  derive_table(nodes, table);
   if (config_.master_key.present()) {
     std::vector<NodeId> ids;
     ids.reserve(nodes.size());
     for (const auto& [id, position] : nodes) ids.push_back(id);
-    refresh_commitments(ids, map);
+    refresh_commitments(ids, table.table());
   }
-  publish(std::move(map));
+  publish(table);
+  return ApplyResult::success();
 }
 
 std::shared_ptr<const Snapshot> ValidationService::snapshot() const {
@@ -329,30 +341,21 @@ std::shared_ptr<const Snapshot> ValidationService::snapshot() const {
 }
 
 std::shared_ptr<const Snapshot> ValidationService::rebuild() const {
-  Snapshot::NodeMap map;
-  map.reserve(positions_.size());
-  for (const auto& [id, position] : positions_) {
-    auto state = std::make_shared<NodeState>();
-    state->position = position;
-    state->neighbors = derive_neighbors(id, position);
-    map.insert_or_assign(id, std::move(state));
-  }
-  for (const auto& [id, position] : positions_) {
-    topology::NeighborList validated = derive_validated(id, map);
-    NodeState next = clone_state(map, id);
-    next.validated = std::move(validated);
-    map.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
-  }
-  return std::make_shared<const Snapshot>(
-      epoch_, config_.threshold_t, config_.radio_range,
-      std::make_shared<const Snapshot::NodeMap>(std::move(map)));
+  std::vector<std::pair<NodeId, util::Vec2>> live;
+  live.reserve(table_.size());
+  for (const auto& [id, state] : table_) live.emplace_back(id, state->position);
+  NodeTable::Editor table{NodeTable{}};
+  derive_table(live, table);
+  return std::make_shared<const Snapshot>(epoch_, config_.threshold_t, config_.radio_range,
+                                          table.commit());
 }
 
-void ValidationService::publish(Snapshot::NodeMap nodes) {
-  map_ = std::make_shared<const Snapshot::NodeMap>(std::move(nodes));
+void ValidationService::publish(NodeTable::Editor& nodes) {
+  table_copies_ += nodes.copies();
+  table_ = nodes.commit();
   ++epoch_;
   auto next = std::make_shared<const Snapshot>(epoch_, config_.threshold_t,
-                                               config_.radio_range, map_);
+                                               config_.radio_range, table_);
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
   current_ = std::move(next);
 }

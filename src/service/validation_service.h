@@ -27,10 +27,12 @@
 // re-splices tentative lists across disc(p, R) and rechecks exactly the
 // validated pairs with both endpoints in that disc; an update event uses
 // the union of the old- and new-position discs. Everything else is
-// structurally shared with the previous epoch. rebuild() recomputes the
-// world from scratch through the same derivation helpers; the equivalence
-// suite asserts both paths serialize byte-identically after arbitrary
-// event sequences.
+// structurally shared with the previous epoch: the node table path-copies
+// only the chunks above the states it replaces (service/node_table.h), so
+// an event costs O(touched nodes · table height), whatever n is. rebuild()
+// recomputes the world from scratch through the same derivation helpers;
+// the equivalence suite asserts both paths serialize byte-identically after
+// arbitrary event sequences.
 //
 // ## Concurrency
 //
@@ -65,19 +67,27 @@ class SpatialGrid {
  public:
   explicit SpatialGrid(double cell_size) : cell_(cell_size) {}
 
+  /// Whether `position` is finite and its 5x5 cell block has int32 cell
+  /// coordinates. Only such positions may be inserted: past that range the
+  /// cell arithmetic overflows and a disc query never ends.
+  [[nodiscard]] bool indexable(util::Vec2 position) const;
+
   void insert(NodeId id, util::Vec2 position);
   void erase(NodeId id, util::Vec2 position);
 
   /// Ids of indexed nodes within `radius` of `center` (inclusive), sorted.
-  [[nodiscard]] std::vector<NodeId> query_disc(util::Vec2 center, double radius,
-                                               const util::FlatMap<NodeId, util::Vec2>&
-                                                   positions) const;
+  [[nodiscard]] std::vector<NodeId> query_disc(util::Vec2 center, double radius) const;
 
  private:
+  struct Entry {
+    NodeId id;
+    util::Vec2 position;
+  };
+
   [[nodiscard]] std::uint64_t cell_key(util::Vec2 position) const;
 
   double cell_;
-  util::FlatMap<std::uint64_t, std::vector<NodeId>> cells_;
+  util::FlatMap<std::uint64_t, std::vector<Entry>> cells_;
 };
 
 struct ServiceConfig {
@@ -91,7 +101,8 @@ struct ServiceConfig {
 };
 
 /// Outcome of one ingested event. Rejections (deploying an existing id,
-/// updating/revoking an unknown one) leave the topology unchanged.
+/// updating/revoking an unknown one, a position the grid cannot index)
+/// leave the topology unchanged.
 struct ApplyResult {
   bool ok = true;
   std::string error;
@@ -119,7 +130,9 @@ class ValidationService {
   /// Bulk bootstrap: deploys all nodes, then derives every list once --
   /// O(n · deg²) instead of n incremental events' O(n · deg³) -- and
   /// publishes one epoch. Requires distinct ids; call on an empty service.
-  void seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
+  /// Rejects the whole set, changing nothing, if any position is not
+  /// indexable (see SpatialGrid::indexable).
+  ApplyResult seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
 
   /// Current snapshot; never null, safe to call from any thread and to
   /// retain across later ingestion.
@@ -136,9 +149,13 @@ class ValidationService {
   [[nodiscard]] std::shared_ptr<const Snapshot> rebuild() const;
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return table_.size(); }
   /// Events accepted since construction (not counting seed_topology nodes).
   [[nodiscard]] std::uint64_t events_applied() const { return events_applied_; }
+  /// Node-table chunks copied or created by every publish since
+  /// construction: the deterministic cost of ingestion, which grows with
+  /// the nodes an event touches (times the table height), not with n.
+  [[nodiscard]] std::uint64_t table_copies() const { return table_copies_; }
 
   /// C(id) over id's current tentative list, or nullptr when id is not
   /// live or no master key is configured. Maintained incrementally: each
@@ -156,29 +173,31 @@ class ValidationService {
   [[nodiscard]] topology::NeighborList derive_neighbors(NodeId id,
                                                         util::Vec2 position) const;
   /// Validated list for `id` given the current tentative lists in `nodes`.
-  [[nodiscard]] topology::NeighborList derive_validated(
-      NodeId id, const Snapshot::NodeMap& nodes) const;
+  [[nodiscard]] topology::NeighborList derive_validated(NodeId id,
+                                                        const NodeTable& nodes) const;
+  /// Writes the from-scratch states of `nodes` (all indexed in grid_) into
+  /// an empty `table`: every tentative list, then every validated list.
+  /// Shared by seed_topology and rebuild.
+  void derive_table(std::span<const std::pair<NodeId, util::Vec2>> nodes,
+                    NodeTable::Editor& table) const;
 
-  /// Clones nodes[id] (which must exist) for mutation.
-  [[nodiscard]] static NodeState clone_state(const Snapshot::NodeMap& nodes, NodeId id);
-
-  ApplyResult apply_locked(const TopologyEvent& event, Snapshot::NodeMap& nodes);
-  void publish(Snapshot::NodeMap nodes);
+  ApplyResult apply_locked(const TopologyEvent& event, NodeTable::Editor& nodes);
+  void publish(NodeTable::Editor& nodes);
 
   /// Recomputes the binding commitments of `ids` against `nodes` in one
   /// batched hash drain; ids no longer live are erased instead. No-op
   /// without a configured master key.
-  void refresh_commitments(std::span<const NodeId> ids, const Snapshot::NodeMap& nodes);
+  void refresh_commitments(std::span<const NodeId> ids, const NodeTable& nodes);
 
   ServiceConfig config_;
   SpatialGrid grid_;
-  util::FlatMap<NodeId, util::Vec2> positions_;
-  /// The current epoch's immutable node map, shared with the published
-  /// Snapshot; ingestion copies it, mutates the copy, and re-freezes.
-  /// Never null.
-  std::shared_ptr<const Snapshot::NodeMap> map_;
+  /// The current epoch's table, shared with the published Snapshot; each
+  /// apply / apply_all edits it through a NodeTable::Editor (O(1) to open,
+  /// then one path copy per touched chunk) and commits the result.
+  NodeTable table_;
   std::uint64_t epoch_ = 0;
   std::uint64_t events_applied_ = 0;
+  std::uint64_t table_copies_ = 0;
   /// Live nodes' binding commitments (empty without a master key). Not part
   /// of Snapshot -- commitments are secrets of the K-holding role, not of
   /// the published topology.

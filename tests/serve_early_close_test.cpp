@@ -1,10 +1,14 @@
-// Regression test: snd_serve must survive a client that sends a request and
-// closes without reading the reply. The first client sends a batch query
-// whose reply (1M verdict bytes) is larger than the socket buffer, then
-// closes; the daemon's reply write therefore always hits a closed peer
-// (EPIPE, which used to kill the process with SIGPIPE). A second client
-// must then still get a kStats reply, and kShutdown must end the daemon
-// with exit status 0.
+// Regression tests for peers that go away mid-conversation.
+//
+// snd_serve must survive a client that sends a request and closes without
+// reading the reply. The first client sends a batch query whose reply (1M
+// verdict bytes) is larger than the socket buffer, then closes; the
+// daemon's reply write therefore always hits a closed peer (EPIPE, which
+// used to kill the process with SIGPIPE). A second client must then still
+// get a kStats reply, and kShutdown must end the daemon with exit status 0.
+//
+// The other way round, serve_qps --mode socket must report a server that
+// stops reading as an error exit, not die of SIGPIPE on its next send.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -21,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "service/validation_service.h"
 #include "service/wire.h"
 
 namespace snd::service {
@@ -149,6 +154,53 @@ TEST(ServeEarlyCloseTest, DaemonSurvivesClientThatClosesBeforeReading) {
   ASSERT_TRUE(WIFEXITED(status)) << "snd_serve died with signal "
                                  << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ServeEarlyCloseTest, LoadGeneratorReportsServerThatStopsReading) {
+  const std::string socket_path =
+      ::testing::TempDir() + "snd_serve_qps_peer_" + std::to_string(::getpid()) + ".sock";
+  ASSERT_LT(socket_path.size(), sizeof(sockaddr_un::sun_path));
+  ::unlink(socket_path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, socket_path.c_str(), sizeof(address.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address), sizeof(address)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::execl(SERVE_QPS_PATH, SERVE_QPS_PATH, "--mode", "socket", "--socket",
+            socket_path.c_str(), "--nodes", "50", "--queries", "100", "--event-every", "0",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+
+  // Answer the first request, but shut down reading before the reply goes
+  // out: the load generator's next send then always meets EPIPE.
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  std::uint8_t header[4];
+  ASSERT_TRUE(read_all(peer, header, sizeof(header)));
+  util::Bytes request((std::uint32_t{header[0]} << 24) | (std::uint32_t{header[1]} << 16) |
+                      (std::uint32_t{header[2]} << 8) | header[3]);
+  ASSERT_TRUE(read_all(peer, request.data(), request.size()));
+  ValidationService service(ServiceConfig{});
+  util::Bytes reply;
+  ASSERT_TRUE(wire::handle_request(service, request, reply));
+  ASSERT_EQ(::shutdown(peer, SHUT_RD), 0);
+  ASSERT_TRUE(send_all(peer, wire::frame(reply)));
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ::close(peer);
+  ::close(listener);
+  ::unlink(socket_path.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "serve_qps died with signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 }  // namespace

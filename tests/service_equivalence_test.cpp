@@ -5,6 +5,7 @@
 // affected-region bound were ever too tight, these tests would diverge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -39,15 +40,15 @@ void expect_equivalent(const ValidationService& service, const char* context) {
 
 TEST(ServiceEquivalenceTest, SeededTopologyMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {200.0, 200.0}};
-  ValidationService service({25.0, 2});
-  service.seed_topology(random_field(300, field, 11));
+  ValidationService service({25.0, 2, {}});
+  ASSERT_TRUE(service.seed_topology(random_field(300, field, 11)).ok);
   expect_equivalent(service, "after seed_topology");
 }
 
 TEST(ServiceEquivalenceTest, RandomizedSequencesMatchRebuild) {
   const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    ValidationService service({25.0, 2});
+    ValidationService service({25.0, 2, {}});
     const auto initial = random_field(120, field, util::derive_seed(500, seed));
     service.seed_topology(initial);
     std::vector<NodeId> live;
@@ -62,7 +63,7 @@ TEST(ServiceEquivalenceTest, RandomizedSequencesMatchRebuild) {
 
 TEST(ServiceEquivalenceTest, BatchIngestionMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({25.0, 2, {}});
   const auto initial = random_field(150, field, 77);
   service.seed_topology(initial);
   std::vector<NodeId> live;
@@ -74,7 +75,7 @@ TEST(ServiceEquivalenceTest, BatchIngestionMatchesRebuild) {
 
 TEST(ServiceEquivalenceTest, RejectedEventsLeaveTopologyEquivalent) {
   const util::Rect field{{0.0, 0.0}, {100.0, 100.0}};
-  ValidationService service({25.0, 1});
+  ValidationService service({25.0, 1, {}});
   service.seed_topology(random_field(50, field, 5));
   EXPECT_FALSE(service.apply(TopologyEvent::deploy(3, {1.0, 1.0})).ok);
   EXPECT_FALSE(service.apply(TopologyEvent::revoke(9999)).ok);
@@ -82,11 +83,57 @@ TEST(ServiceEquivalenceTest, RejectedEventsLeaveTopologyEquivalent) {
   expect_equivalent(service, "after rejected events");
 }
 
+TEST(ServiceEquivalenceTest, ExtremeIdsMatchRebuild) {
+  // Ids at the node table's chunk boundaries and near the top of the u32
+  // range grow the trie from one level to seven mid-sequence, then prune it
+  // again; every step must still match a from-scratch rebuild.
+  const util::Rect field{{0.0, 0.0}, {60.0, 60.0}};
+  const std::vector<NodeId> extreme = {0, 63, 64, 4095, 0x80000000u, 0xFFFFFFFEu};
+  util::Rng rng(41);
+  const auto somewhere = [&] {
+    return util::Vec2{rng.uniform(field.lo.x, field.hi.x), rng.uniform(field.lo.y, field.hi.y)};
+  };
+  ValidationService service({25.0, 1, {}});
+  for (NodeId id = 1; id <= 20; ++id) {
+    ASSERT_TRUE(service.apply(TopologyEvent::deploy(id, somewhere())).ok);
+  }
+  EXPECT_EQ(service.snapshot()->nodes().levels(), 1u);
+  for (const NodeId id : extreme) {
+    ASSERT_TRUE(service.apply(TopologyEvent::deploy(id, somewhere())).ok) << id;
+    expect_equivalent(service, "after deploying an extreme id");
+  }
+  EXPECT_EQ(service.snapshot()->nodes().levels(), 7u);
+  for (const NodeId id : extreme) {
+    ASSERT_TRUE(service.apply(TopologyEvent::update(id, somewhere())).ok) << id;
+  }
+  expect_equivalent(service, "after moving the extreme ids");
+
+  std::vector<NodeId> listed;
+  for (const auto& [id, state] : service.snapshot()->nodes()) listed.push_back(id);
+  EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+  EXPECT_EQ(listed.size(), 26u);
+  EXPECT_EQ(listed.back(), 0xFFFFFFFEu);
+
+  for (const NodeId id : extreme) {
+    ASSERT_TRUE(service.apply(TopologyEvent::revoke(id)).ok) << id;
+    expect_equivalent(service, "after revoking an extreme id");
+  }
+  EXPECT_EQ(service.node_count(), 20u);
+
+  // The same ids through the bulk path.
+  ValidationService seeded({25.0, 1, {}});
+  std::vector<std::pair<NodeId, util::Vec2>> initial;
+  for (const NodeId id : extreme) initial.emplace_back(id, somewhere());
+  for (NodeId id = 1; id <= 20; ++id) initial.emplace_back(id, somewhere());
+  ASSERT_TRUE(seeded.seed_topology(initial).ok);
+  expect_equivalent(seeded, "after seeding extreme ids");
+}
+
 TEST(ServiceEquivalenceTest, DenseClusterStressMatchesRebuild) {
   // Everything inside a couple of radio ranges: every event touches a large
   // fraction of the network, exercising the pair-recheck pass heavily.
   const util::Rect field{{0.0, 0.0}, {40.0, 40.0}};
-  ValidationService service({25.0, 3});
+  ValidationService service({25.0, 3, {}});
   const auto initial = random_field(80, field, 21);
   service.seed_topology(initial);
   std::vector<NodeId> live;
@@ -102,7 +149,7 @@ TEST(ServiceEquivalenceTest, DenseClusterStressMatchesRebuild) {
 
 TEST(ServiceEquivalenceTest, FaultPlanDrivenSequenceMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({25.0, 2, {}});
   const auto initial = random_field(100, field, 31);
   service.seed_topology(initial);
 

@@ -4,7 +4,10 @@
 // Run under -DSND_SANITIZE=thread to have TSan check the claim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,7 +21,7 @@ namespace {
 
 TEST(ServiceStressTest, ConcurrentReadersDuringIngestion) {
   const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({25.0, 2, {}});
 
   util::Rng rng(7);
   std::vector<std::pair<NodeId, util::Vec2>> initial;
@@ -80,7 +83,7 @@ TEST(ServiceStressTest, ConcurrentReadersDuringIngestion) {
 
 TEST(ServiceStressTest, BatchIngestionPublishesOnce) {
   const util::Rect field{{0.0, 0.0}, {80.0, 80.0}};
-  ValidationService service({20.0, 1});
+  ValidationService service({20.0, 1, {}});
   util::Rng rng(3);
   std::vector<std::pair<NodeId, util::Vec2>> initial;
   std::vector<NodeId> live;
@@ -109,6 +112,58 @@ TEST(ServiceStressTest, BatchIngestionPublishesOnce) {
   // partially-applied batch.
   EXPECT_FALSE(saw_intermediate.load());
   EXPECT_EQ(service.snapshot()->epoch(), before + 1);
+}
+
+TEST(ServiceStressTest, EveryRetainedEpochStaysImmutable) {
+  // Each publish hands out a node table whose chunks the next edit must copy
+  // before writing. Retaining every epoch and re-serializing all of them at
+  // the end catches an edit that writes into a published chunk.
+  const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
+  ValidationService service({25.0, 2, {}});
+  util::Rng rng(19);
+  std::vector<std::pair<NodeId, util::Vec2>> initial;
+  std::vector<NodeId> live;
+  for (NodeId id = 1; id <= 120; ++id) {
+    initial.emplace_back(id, util::Vec2{rng.uniform(0.0, 150.0), rng.uniform(0.0, 150.0)});
+    live.push_back(id);
+  }
+  ASSERT_TRUE(service.seed_topology(initial).ok);
+
+  std::vector<std::pair<std::shared_ptr<const Snapshot>, std::string>> epochs;
+  const auto retain = [&] {
+    auto snapshot = service.snapshot();
+    std::string json = snapshot->canonical_json();
+    epochs.emplace_back(std::move(snapshot), std::move(json));
+  };
+  retain();
+
+  const auto events = random_events(300, field, std::move(live), 9);
+  const TopologyEvent never_live = TopologyEvent::revoke(kNoNode - 1);
+  std::size_t next = 0;
+  for (std::size_t round = 0; next < events.size(); ++round) {
+    if (round % 3 == 2) {
+      // A batch with a rejected event in the middle: one publish.
+      const std::size_t end = std::min(next + 6, events.size());
+      std::vector<TopologyEvent> batch(events.begin() + next, events.begin() + end);
+      batch.insert(batch.begin() + batch.size() / 2, never_live);
+      EXPECT_EQ(service.apply_all(batch), batch.size() - 1);
+      next = end;
+    } else {
+      ASSERT_TRUE(service.apply(events[next++]).ok);
+      // Rejected events publish nothing and must leave the table alone.
+      EXPECT_FALSE(service.apply(never_live).ok);
+      const NodeId some_live = (*service.snapshot()->nodes().begin()).first;
+      EXPECT_FALSE(service.apply(TopologyEvent::deploy(some_live, {1.0, 1.0})).ok);
+    }
+    retain();
+  }
+
+  ASSERT_EQ(epochs.size(), 115u);  // seed + 76 single-event and 38 batch publishes
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    const auto& [snapshot, json] = epochs[i];
+    EXPECT_EQ(snapshot->epoch(), epochs.front().first->epoch() + i);
+    EXPECT_EQ(snapshot->canonical_json(), json) << "epoch " << snapshot->epoch();
+  }
 }
 
 }  // namespace

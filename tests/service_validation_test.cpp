@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <numbers>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +15,7 @@
 #include "service/validation_service.h"
 #include "service/wire.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 #include "util/simd.h"
 
 namespace snd::service {
@@ -95,9 +101,143 @@ TEST(ValidationServiceTest, RejectsInvalidEvents) {
   EXPECT_FALSE(service.apply(TopologyEvent::deploy(1, {5.0, 0.0})).ok);
   EXPECT_FALSE(service.apply(TopologyEvent::update(9, {0.0, 0.0})).ok);
   EXPECT_FALSE(service.apply(TopologyEvent::revoke(9)).ok);
+  // Positions the grid cannot index: non-finite ones, and ones so far out
+  // that the disc's cell range leaves int32 (with R = 10, x + R of the last
+  // one lands in cell INT32_MAX, where the cell loop never ended).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<util::Vec2> hostile = {{nan, 0.0},    {0.0, nan},     {inf, 0.0},
+                                           {0.0, -inf},   {1e300, 0.0},   {0.0, -1e300},
+                                           {21474836465.0, 0.0}};
+  for (const util::Vec2 position : hostile) {
+    const ApplyResult deploy = service.apply(TopologyEvent::deploy(2, position));
+    EXPECT_FALSE(deploy.ok) << position.x << ", " << position.y;
+    EXPECT_NE(deploy.error.find("position"), std::string::npos) << deploy.error;
+    EXPECT_FALSE(service.apply(TopologyEvent::update(1, position)).ok)
+        << position.x << ", " << position.y;
+  }
   // Rejections do not bump the epoch or the event counter.
   EXPECT_EQ(service.events_applied(), 1u);
   EXPECT_EQ(service.snapshot()->epoch(), 1u);
+  EXPECT_EQ(service.snapshot()->find(1)->position, (util::Vec2{0.0, 0.0}));
+
+  // seed_topology rejects the whole set and publishes nothing.
+  ValidationService seeded(small_config());
+  const std::vector<std::pair<NodeId, util::Vec2>> bad_seed = {{1, {0.0, 0.0}},
+                                                               {2, {0.0, inf}}};
+  EXPECT_FALSE(seeded.seed_topology(bad_seed).ok);
+  EXPECT_EQ(seeded.node_count(), 0u);
+  EXPECT_EQ(seeded.snapshot()->epoch(), 0u);
+  EXPECT_TRUE(seeded.seed_topology(clique4()).ok);
+}
+
+/// Node-table copies per event over 200 seeded events against `nodes` nodes
+/// of mean degree 12 with ids 0, id_stride, 2 * id_stride, ...
+double copies_per_event(std::size_t nodes, NodeId id_stride) {
+  constexpr double kRange = 50.0;
+  const double width =
+      std::sqrt(static_cast<double>(nodes) * std::numbers::pi * kRange * kRange / 12.0);
+  const util::Rect field{{0.0, 0.0}, {width, width}};
+  util::Rng rng(17);
+  std::vector<std::pair<NodeId, util::Vec2>> initial;
+  std::vector<NodeId> live;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const NodeId id = static_cast<NodeId>(i) * id_stride;
+    initial.emplace_back(id, util::Vec2{rng.uniform(0.0, width), rng.uniform(0.0, width)});
+    live.push_back(id);
+  }
+  ServiceConfig config;
+  config.radio_range = kRange;
+  config.threshold_t = 2;
+  ValidationService service(config);
+  EXPECT_TRUE(service.seed_topology(initial).ok);
+  const std::uint64_t before = service.table_copies();
+  for (const TopologyEvent& event : random_events(200, field, std::move(live), 99)) {
+    EXPECT_TRUE(service.apply(event).ok);
+  }
+  return static_cast<double>(service.table_copies() - before) / 200.0;
+}
+
+TEST(ValidationServiceTest, IngestCopiesTrackTouchedNodesNotN) {
+  // An event rewrites the ~13 states in its radio disc whatever n is, so
+  // the chunks it copies must not grow with the nodes it leaves alone (a
+  // whole-map copy per event would make this ratio 16). Both worlds take
+  // their ids from [0, 32000), so both tables have the same height.
+  const double small = copies_per_event(2'000, 16);
+  const double large = copies_per_event(32'000, 1);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LE(large, 1.25 * small) << small << " vs " << large;
+  // With dense ids 0..n-1 the 2k table has only two mid-level chunks, which
+  // every event shares; at 32k an event's paths split there too. That adds
+  // at most one copy per touched node and level (the table height), so the
+  // ratio stays far below the 16 of a per-event copy of the whole map.
+  const double dense_small = copies_per_event(2'000, 1);
+  EXPECT_LE(large, 2.0 * dense_small) << dense_small << " vs " << large;
+}
+
+TEST(NodeTableTest, MatchesMapModelAndCommittedTablesNeverChange) {
+  util::Rng rng(5);
+  NodeTable table;
+  std::map<NodeId, const NodeState*> model;
+  std::vector<std::pair<NodeTable, std::map<NodeId, const NodeState*>>> committed;
+  std::vector<std::shared_ptr<const NodeState>> states;
+  for (int round = 0; round < 60; ++round) {
+    NodeTable::Editor edit(table);
+    for (int op = 0; op < 40; ++op) {
+      // Mostly small ids (shared chunks, pruning), some anywhere in u32.
+      const NodeId id = rng.chance(0.8) ? static_cast<NodeId>(rng.uniform_int(300))
+                                        : static_cast<NodeId>(rng.uniform_int(1ull << 32));
+      if (rng.chance(0.3)) {
+        EXPECT_EQ(edit.erase(id), model.erase(id) == 1) << id;
+      } else {
+        states.push_back(std::make_shared<const NodeState>());
+        edit.set(id, states.back());
+        model[id] = states.back().get();
+      }
+      ASSERT_EQ(edit.find(id), model.count(id) != 0 ? model[id] : nullptr) << id;
+    }
+    table = edit.commit();
+    committed.emplace_back(table, model);
+  }
+  for (const auto& [snapshot, expected] : committed) {
+    ASSERT_EQ(snapshot.size(), expected.size());
+    std::map<NodeId, const NodeState*> seen;
+    NodeId last = 0;
+    for (const auto& [id, state] : snapshot) {
+      EXPECT_TRUE(seen.empty() || id > last) << "iteration not ascending at " << id;
+      last = id;
+      seen[id] = state;
+      EXPECT_EQ(snapshot.find(id), state);
+    }
+    EXPECT_EQ(seen, expected);
+  }
+}
+
+TEST(NodeTableTest, OneEditCopiesEachChunkOnce) {
+  NodeTable::Editor first{NodeTable{}};
+  for (NodeId id = 0; id < 64; ++id) first.set(id, std::make_shared<const NodeState>());
+  const NodeTable base = first.commit();
+  ASSERT_EQ(base.levels(), 2u);  // a root over two leaves
+
+  NodeTable::Editor edit(base);
+  EXPECT_EQ(edit.copies(), 0u);
+  edit.set(3, std::make_shared<const NodeState>());
+  EXPECT_EQ(edit.copies(), 2u);  // root and leaf 0
+  edit.set(5, std::make_shared<const NodeState>());
+  EXPECT_EQ(edit.copies(), 2u);  // both already owned by this edit
+  edit.set(40, std::make_shared<const NodeState>());
+  EXPECT_EQ(edit.copies(), 3u);  // plus leaf 1
+  EXPECT_FALSE(edit.erase(1000));
+  EXPECT_EQ(edit.copies(), 3u);  // erasing an absent id copies nothing
+  const NodeTable next = edit.commit();
+  EXPECT_NE(base.find(3), next.find(3));
+  EXPECT_EQ(base.find(4), next.find(4));
+  // commit() retired the token: the next write copies root and leaf again.
+  const NodeState* committed = next.find(6);
+  edit.set(6, std::make_shared<const NodeState>());
+  EXPECT_EQ(edit.copies(), 5u);
+  EXPECT_EQ(next.find(6), committed);
+  EXPECT_NE(edit.find(6), committed);
 }
 
 TEST(ValidationServiceTest, SnapshotsAreImmutableVersions) {
@@ -198,6 +338,8 @@ TEST(ServiceWireTest, MalformedRequestsAnswerErrorWithoutMutating) {
       {0x7F},                // unknown opcode
       {wire::kQuery, 0x01},  // truncated query
       {wire::kEvent, 0x09},  // unknown event kind + truncated body
+      // Disc cell range overflows int32: once hung the daemon's only thread.
+      wire::encode_event(TopologyEvent::deploy(9, {21474836465.0, 0.0})),
   };
   for (const util::Bytes& payload : bad) {
     util::Bytes out;
