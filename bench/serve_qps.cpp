@@ -16,7 +16,9 @@
 // snapshot serializes byte-identically (--verify-rebuild, on by default;
 // exit 1 on divergence). Results go to BENCH_serve.json: QPS plus
 // query.us_per_query_p50/p99 and ingest.us_per_event_p50/p99, which
-// ci/bench_trend.py picks up automatically ("us_per" keys are trend-gated).
+// ci/bench_trend.py picks up automatically ("us_per" keys are trend-gated),
+// and ingest.pair_checks_per_event, the deterministic threshold work per
+// ingested event (in-process mode; null over a socket).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -24,6 +26,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -235,6 +238,7 @@ int main(int argc, char** argv) {
   util::Series ingest_ns;
   std::size_t accepted = 0;
   std::size_t events_sent = 0;
+  const std::uint64_t seed_pair_checks = service.pair_checks();
   const auto run_start = Clock::now();
   for (std::size_t i = 0; i < workload.queries.size(); ++i) {
     if (event_every != 0 && i % event_every == 0 && events_sent < workload.events.size()) {
@@ -269,6 +273,17 @@ int main(int argc, char** argv) {
   }
   const double wall_s = since_ns(run_start) / 1e9;
   if (socket_fd >= 0) ::close(socket_fd);
+  // Over a socket the events reach the daemon's service, not this one.
+  std::string pair_checks_per_event = "null";
+  if (!socket_mode) {
+    char formatted[32];
+    std::snprintf(formatted, sizeof(formatted), "%.2f",
+                  ingest_ns.count() == 0
+                      ? 0.0
+                      : static_cast<double>(service.pair_checks() - seed_pair_checks) /
+                            static_cast<double>(ingest_ns.count()));
+    pair_checks_per_event = formatted;
+  }
 
   const double qps = static_cast<double>(queries) / wall_s;
   const double p50_us = latency_ns.percentile(50.0) / 1e3;
@@ -313,7 +328,8 @@ int main(int argc, char** argv) {
                 "  },\n"
                 "  \"ingest\": {\n"
                 "    \"us_per_event_p50\": %.2f,\n"
-                "    \"us_per_event_p99\": %.2f\n"
+                "    \"us_per_event_p99\": %.2f,\n"
+                "    \"pair_checks_per_event\": %s\n"
                 "  },\n"
                 "  \"accepted_fraction\": %.4f,\n"
                 "  \"equivalence_gate\": %s\n"
@@ -323,6 +339,7 @@ int main(int argc, char** argv) {
                 latency_ns.mean() / 1e3,
                 ingest_ns.count() > 0 ? ingest_ns.percentile(50.0) / 1e3 : 0.0,
                 ingest_ns.count() > 0 ? ingest_ns.percentile(99.0) / 1e3 : 0.0,
+                pair_checks_per_event.c_str(),
                 static_cast<double>(accepted) / static_cast<double>(queries),
                 equivalent ? "true" : "false");
   const std::string path = bench_artifact_path("BENCH_serve.json");

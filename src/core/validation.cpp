@@ -4,7 +4,22 @@ namespace snd::core {
 
 bool meets_threshold(const topology::NeighborList& nu, const topology::NeighborList& nv,
                      std::size_t t) {
-  return topology::intersection_size(nu, nv) >= t + 1;
+  // The same branchless merge as topology::intersection_size, stopped at the
+  // (t+1)-th common element: the verdict needs no more of the count.
+  const std::size_t need = t + 1;
+  if (nu.size() < need || nv.size() < need) return false;
+  std::size_t count = 0;
+  auto iu = nu.begin();
+  auto iv = nv.begin();
+  while (iu != nu.end() && iv != nv.end()) {
+    const NodeId a = *iu;
+    const NodeId b = *iv;
+    count += static_cast<std::size_t>(a == b);
+    if (count == need) return true;
+    iu += static_cast<std::ptrdiff_t>(a <= b);
+    iv += static_cast<std::ptrdiff_t>(b <= a);
+  }
+  return false;
 }
 
 bool CommonNeighborValidator::validate(NodeId u, NodeId v, const topology::Digraph& B) const {

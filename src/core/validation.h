@@ -85,7 +85,9 @@ class LinkThresholdValidator final : public ValidationFunction {
 };
 
 /// Shared threshold predicate: |N(u) ∩ N(v)| >= t + 1. Used by both the
-/// graph-level validator above and the wire protocol's record check.
+/// graph-level validator above, the wire protocol's record check and the
+/// validation service. Stops merging at the (t+1)-th common neighbor; the
+/// verdict is exactly that of topology::intersection_size(nu, nv) >= t + 1.
 bool meets_threshold(const topology::NeighborList& nu, const topology::NeighborList& nv,
                      std::size_t t);
 

@@ -60,16 +60,17 @@ bool SpatialGrid::indexable(util::Vec2 position) const {
 }
 
 void SpatialGrid::insert(NodeId id, util::Vec2 position) {
-  cells_.get_or_insert(cell_key(position)).push_back({id, position});
+  cells_[cell_key(position)].push_back({id, position});
 }
 
 void SpatialGrid::erase(NodeId id, util::Vec2 position) {
-  auto* bucket = cells_.find(cell_key(position));
-  if (bucket == nullptr) return;
-  const auto it = std::find_if(bucket->begin(), bucket->end(),
+  const auto cell = cells_.find(cell_key(position));
+  if (cell == cells_.end()) return;
+  std::vector<Entry>& bucket = cell->second;
+  const auto it = std::find_if(bucket.begin(), bucket.end(),
                                [id](const Entry& entry) { return entry.id == id; });
-  if (it != bucket->end()) bucket->erase(it);
-  if (bucket->empty()) cells_.erase(cell_key(position));
+  if (it != bucket.end()) bucket.erase(it);
+  if (bucket.empty()) cells_.erase(cell);
 }
 
 std::uint64_t SpatialGrid::cell_key(util::Vec2 position) const {
@@ -85,9 +86,9 @@ std::vector<NodeId> SpatialGrid::query_disc(util::Vec2 center, double radius) co
   std::vector<NodeId> result;
   for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
     for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
-      const auto* bucket = cells_.find(pack_cell(cx, cy));
-      if (bucket == nullptr) continue;
-      for (const Entry& entry : *bucket) {
+      const auto cell = cells_.find(pack_cell(cx, cy));
+      if (cell == cells_.end()) continue;
+      for (const Entry& entry : cell->second) {
         if (util::distance_squared(entry.position, center) <= r2) result.push_back(entry.id);
       }
     }
@@ -111,167 +112,164 @@ topology::NeighborList ValidationService::derive_neighbors(NodeId id,
   return neighbors;
 }
 
-topology::NeighborList ValidationService::derive_validated(NodeId id,
-                                                           const NodeTable& nodes) const {
-  const NodeState* state = nodes.find(id);
-  topology::NeighborList validated;
-  if (state == nullptr) return validated;
-  const topology::NeighborList& mine = state->neighbors;
-  for (const NodeId other : mine) {
-    const NodeState* peer = nodes.find(other);
-    if (peer == nullptr) continue;
-    if (core::meets_threshold(mine, peer->neighbors, config_.threshold_t)) {
-      validated.push_back(other);
-    }
-  }
-  return validated;  // `mine` is sorted, so validated is too
-}
-
-void ValidationService::derive_table(std::span<const std::pair<NodeId, util::Vec2>> nodes,
-                                     NodeTable::Editor& table) const {
-  std::vector<std::shared_ptr<NodeState>> states;
+std::uint64_t ValidationService::derive_table(
+    std::span<const std::pair<NodeId, util::Vec2>> nodes, NodeTable::Editor& table) const {
+  std::vector<std::pair<NodeId, std::shared_ptr<NodeState>>> states;
   states.reserve(nodes.size());
   for (const auto& [id, position] : nodes) {
     auto state = std::make_shared<NodeState>();
     state->position = position;
     state->neighbors = derive_neighbors(id, position);
-    table.set(id, state);
-    states.push_back(std::move(state));
+    // validated ⊆ neighbors, so its list never reallocates while it fills.
+    state->validated.reserve(state->neighbors.size());
+    states.emplace_back(id, std::move(state));
   }
-  // Validated lists read every tentative list, so they come second; the
-  // states are not published yet, so they are completed in place.
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    states[i]->validated = derive_validated(nodes[i].first, table.table());
+  std::sort(states.begin(), states.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<NodeId> ids;
+  ids.reserve(states.size());
+  for (const auto& [id, state] : states) ids.push_back(id);
+
+  // Validated lists read every tentative list, so they come second. The
+  // predicate is symmetric: each tentative edge (u, v), u < v, is evaluated
+  // once, from u, and fills both lists. Walking u in ascending order appends
+  // to every list in ascending order; the states are not published yet, so
+  // they are completed in place.
+  std::uint64_t checks = 0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const NodeId u = states[i].first;
+    NodeState& mine = *states[i].second;
+    const auto later = std::upper_bound(mine.neighbors.begin(), mine.neighbors.end(), u);
+    for (auto it = later; it != mine.neighbors.end(); ++it) {
+      const NodeId v = *it;
+      const auto at = std::lower_bound(ids.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                                       ids.end(), v);
+      if (at == ids.end() || *at != v) continue;  // indexed but not being derived
+      NodeState& peer = *states[static_cast<std::size_t>(at - ids.begin())].second;
+      ++checks;
+      if (core::meets_threshold(mine.neighbors, peer.neighbors, config_.threshold_t)) {
+        mine.validated.push_back(v);
+        peer.validated.push_back(u);
+      }
+    }
   }
+  for (auto& [id, state] : states) table.set(id, std::move(state));
+  return checks;
 }
 
 ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
                                             NodeTable::Editor& nodes) {
   const NodeId id = event.node;
-  if (event.kind != EventKind::kRevoke && !grid_.indexable(event.position)) {
+  const bool live_after = event.kind != EventKind::kRevoke;
+  if (live_after && !grid_.indexable(event.position)) {
     return unindexable(event_kind_name(event.kind), id);
   }
-
-  // Pre-existing nodes inside the event's radio disc(s). `gain` / `lose`
-  // are the (disjoint) subsets whose tentative list picks up / drops the
-  // event node; `process` is their union plus, for updates, the nodes that
-  // stay adjacent across the move (their pair verdicts can still flip
-  // because N(id) changed).
-  topology::NeighborList process;
-  topology::NeighborList gain;
-  topology::NeighborList lose;
-  bool live_after = true;
-
-  switch (event.kind) {
-    case EventKind::kDeploy: {
-      if (nodes.find(id) != nullptr) {
-        return ApplyResult::failure("deploy: node " + std::to_string(id) +
-                                    " already live");
-      }
-      grid_.insert(id, event.position);
-      auto state = std::make_shared<NodeState>();
-      state->position = event.position;
-      state->neighbors = derive_neighbors(id, event.position);
-      gain = state->neighbors;
-      process = gain;
-      nodes.set(id, std::move(state));
-      break;
-    }
-    case EventKind::kRevoke: {
-      const NodeState* state = nodes.find(id);
-      if (state == nullptr) {
-        return ApplyResult::failure("revoke: node " + std::to_string(id) +
-                                    " not live");
-      }
-      lose = state->neighbors;
-      process = lose;
-      grid_.erase(id, state->position);
-      nodes.erase(id);
-      live_after = false;
-      break;
-    }
-    case EventKind::kUpdate: {
-      const NodeState* state = nodes.find(id);
-      if (state == nullptr) {
-        return ApplyResult::failure("update: node " + std::to_string(id) +
-                                    " not live");
-      }
-      grid_.erase(id, state->position);
-      grid_.insert(id, event.position);
-      // The moved node's validated list is re-derived below.
-      NodeState moved{event.position, derive_neighbors(id, event.position), {}};
-      const topology::NeighborList& old_neighbors = state->neighbors;
-      const topology::NeighborList& new_neighbors = moved.neighbors;
-      std::set_difference(new_neighbors.begin(), new_neighbors.end(),
-                          old_neighbors.begin(), old_neighbors.end(),
-                          std::back_inserter(gain));
-      std::set_difference(old_neighbors.begin(), old_neighbors.end(),
-                          new_neighbors.begin(), new_neighbors.end(),
-                          std::back_inserter(lose));
-      std::set_union(old_neighbors.begin(), old_neighbors.end(),
-                     new_neighbors.begin(), new_neighbors.end(),
-                     std::back_inserter(process));
-      nodes.set(id, std::make_shared<const NodeState>(std::move(moved)));  // may free *state
-      break;
-    }
+  // Nothing is written to `nodes` before the final pass, so `before` and
+  // every other state read below stay valid until then.
+  const NodeState* before = nodes.find(id);
+  if ((event.kind == EventKind::kDeploy) != (before == nullptr)) {
+    return ApplyResult::failure(std::string(event_kind_name(event.kind)) + ": node " +
+                                std::to_string(id) +
+                                (before == nullptr ? " not live" : " already live"));
   }
 
-  // Pass 1: splice the event node in/out of its neighbors' tentative lists
-  // (all lists must be final before any threshold is evaluated). Dropping
-  // the event node also drops it from the validated list -- validated(a) is
-  // a subset of N(a) by construction, and `id` is the only id whose
-  // membership this event can change.
-  for (const NodeId a : gain) {
-    NodeState next = *nodes.find(a);
-    insert_value(next.neighbors, id);
-    nodes.set(a, std::make_shared<const NodeState>(std::move(next)));
-  }
-  for (const NodeId a : lose) {
-    NodeState next = *nodes.find(a);
-    erase_value(next.neighbors, id);
-    erase_value(next.validated, id);
-    nodes.set(a, std::make_shared<const NodeState>(std::move(next)));
-  }
-
-  // Pass 2: recheck exactly the pairs the event can have flipped. A pair's
-  // predicate (adjacency + common-neighbor count) reads only N(a) and N(v),
-  // and the event changed only `id`'s membership anywhere -- so both
-  // endpoints lie in the disc(s), i.e. in `process` (or are `id` itself).
-  topology::NeighborList affected = process;
-  if (live_after) insert_value(affected, id);
-  for (const NodeId a : process) {
-    const NodeState& current = *nodes.find(a);
-    const topology::NeighborList candidates =
-        topology::intersect(current.neighbors, affected);
-    if (candidates.empty()) continue;
-    NodeState next = current;
-    bool changed = false;
-    for (const NodeId v : candidates) {
-      const NodeState& peer = *nodes.find(v);
-      if (core::meets_threshold(next.neighbors, peer.neighbors, config_.threshold_t)) {
-        changed |= insert_value(next.validated, v);
-      } else {
-        changed |= erase_value(next.validated, v);
-      }
-    }
-    if (changed) nodes.set(a, std::make_shared<const NodeState>(std::move(next)));
-  }
+  // N(e) before and after the event, e = `id`; empty where e is not live.
+  const topology::NeighborList no_neighbors;
+  const topology::NeighborList& old_neighbors = before ? before->neighbors : no_neighbors;
+  topology::NeighborList new_neighbors;
+  if (before != nullptr) grid_.erase(id, before->position);
   if (live_after) {
-    NodeState next = *nodes.find(id);
-    next.validated = derive_validated(id, nodes.table());
-    nodes.set(id, std::make_shared<const NodeState>(std::move(next)));
+    grid_.insert(id, event.position);
+    new_neighbors = derive_neighbors(id, event.position);
   }
 
-  // The only tentative lists this event changed are those of gain/lose
-  // members and the event node itself -- exactly the commitments to refresh
-  // (one batched drain; a revoked id is erased inside the helper).
-  if (config_.master_key.present()) {
-    topology::NeighborList dirty;
-    std::set_union(gain.begin(), gain.end(), lose.begin(), lose.end(),
-                   std::back_inserter(dirty));
-    insert_value(dirty, id);
-    refresh_commitments(dirty, nodes.table());
+  // Every state the event can change: the nodes within R of e's old and new
+  // positions, plus e itself while it is live. Each next state is built
+  // once, in ascending id order.
+  struct Touched {
+    NodeId id;
+    bool was_adjacent;  // in N(e) before the event
+    bool is_adjacent;   // in N(e) after it
+    bool dirty;         // next differs from the published state
+    NodeState next;
+  };
+  topology::NeighborList disc;
+  std::set_union(old_neighbors.begin(), old_neighbors.end(), new_neighbors.begin(),
+                 new_neighbors.end(), std::back_inserter(disc));
+  if (live_after) insert_value(disc, id);
+  std::vector<Touched> touched;
+  touched.reserve(disc.size());
+  for (const NodeId a : disc) {
+    if (a == id) {
+      touched.push_back({id, false, false, true, {event.position, new_neighbors, {}}});
+      continue;
+    }
+    Touched node{a, topology::contains(old_neighbors, a),
+                 topology::contains(new_neighbors, a), false, *nodes.find(a)};
+    // Splice e in or out of N(a). Dropping e also drops it from the
+    // validated list, a subset of N(a) by construction.
+    if (node.is_adjacent && !node.was_adjacent) {
+      insert_value(node.next.neighbors, id);
+      node.dirty = true;
+    } else if (node.was_adjacent && !node.is_adjacent) {
+      erase_value(node.next.neighbors, id);
+      erase_value(node.next.validated, id);
+      node.dirty = true;
+    }
+    touched.push_back(std::move(node));
   }
+
+  // Visit each unordered adjacent pair (a, v) inside the disc(s) once, with
+  // every tentative list final. e's pairs are new or rewired, so they are
+  // always checked. For two other nodes, e is the only id whose membership
+  // in N(a) or N(v) changed, so |N(a) ∩ N(v)| moved by
+  //   Δ = [e ∈ N'(a) ∧ e ∈ N'(v)] − [e ∈ N(a) ∧ e ∈ N(v)]
+  // and the verdict can flip only when Δ > 0 on a rejected pair or Δ < 0
+  // on a validated one. Pairs with an endpoint outside the disc(s) keep
+  // both lists' e-membership, so Δ = 0 for them.
+  const std::size_t t = config_.threshold_t;
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    Touched& a = touched[i];
+    std::size_t j = i + 1;
+    for (const NodeId v : a.next.neighbors) {
+      if (v < a.id) continue;
+      while (j < touched.size() && touched[j].id < v) ++j;
+      if (j == touched.size()) break;
+      if (touched[j].id != v) continue;
+      Touched& b = touched[j];
+      if (a.id != id && b.id != id) {
+        const int delta = static_cast<int>(a.is_adjacent && b.is_adjacent) -
+                          static_cast<int>(a.was_adjacent && b.was_adjacent);
+        const bool validated = topology::contains(a.next.validated, v);
+        if (!(delta > 0 && !validated) && !(delta < 0 && validated)) continue;
+      }
+      ++pair_checks_;
+      if (core::meets_threshold(a.next.neighbors, b.next.neighbors, t)) {
+        a.dirty |= insert_value(a.next.validated, b.id);
+        b.dirty |= insert_value(b.next.validated, a.id);
+      } else {
+        a.dirty |= erase_value(a.next.validated, b.id);
+        b.dirty |= erase_value(b.next.validated, a.id);
+      }
+    }
+  }
+
+  // The only tentative lists this event changed are those of the nodes e
+  // joined or left, and e's own: exactly the commitments to refresh (a
+  // revoked id is erased inside the helper).
+  topology::NeighborList rehash;
+  if (config_.master_key.present()) {
+    for (const Touched& node : touched) {
+      if (node.was_adjacent != node.is_adjacent) rehash.push_back(node.id);
+    }
+    insert_value(rehash, id);
+  }
+
+  if (!live_after) nodes.erase(id);  // frees *before
+  for (Touched& node : touched) {
+    if (node.dirty) nodes.set(node.id, std::make_shared<const NodeState>(std::move(node.next)));
+  }
+  refresh_commitments(rehash, nodes.table());
 
   ++events_applied_;
   return ApplyResult::success();
@@ -296,7 +294,7 @@ void ValidationService::refresh_commitments(std::span<const NodeId> ids,
   std::vector<crypto::Digest> digests(specs.size());
   core::binding_commitments(config_.master_key, specs, digests);
   for (std::size_t i = 0; i < live.size(); ++i) {
-    commitments_.insert_or_assign(live[i], digests[i]);
+    commitments_[live[i]] = digests[i];
   }
 }
 
@@ -324,7 +322,7 @@ ApplyResult ValidationService::seed_topology(
   }
   for (const auto& [id, position] : nodes) grid_.insert(id, position);
   NodeTable::Editor table{NodeTable{}};
-  derive_table(nodes, table);
+  pair_checks_ += derive_table(nodes, table);
   if (config_.master_key.present()) {
     std::vector<NodeId> ids;
     ids.reserve(nodes.size());

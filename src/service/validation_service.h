@@ -17,21 +17,30 @@
 // paper's Theorem 4 incremental-deployment safety.
 //
 // Ingestion exploits a bound sharper than that safe 2R envelope. The only
-// list membership any single event changes is that of its own node, so for
+// list membership any single event changes is that of its own node e, so for
 // a pair of pre-existing nodes (a, v) the predicate
 //
 //   v in N(a)  and  |N(a) ∩ N(v)| >= t+1
 //
-// can flip only when the event node enters or leaves N(a) ∩ N(v) (or is v
-// itself) -- which requires BOTH a and v within R of p. Ingestion therefore
-// re-splices tentative lists across disc(p, R) and rechecks exactly the
-// validated pairs with both endpoints in that disc; an update event uses
-// the union of the old- and new-position discs. Everything else is
-// structurally shared with the previous epoch: the node table path-copies
-// only the chunks above the states it replaces (service/node_table.h), so
-// an event costs O(touched nodes · table height), whatever n is. rebuild()
-// recomputes the world from scratch through the same derivation helpers;
-// the equivalence suite asserts both paths serialize byte-identically after
+// can flip only when e enters or leaves N(a) ∩ N(v) (or is v itself) --
+// which requires BOTH a and v within R of p. The predicate is symmetric, the
+// event moves a pair's common count by exactly
+//
+//   Δ = [e ∈ N'(a) ∧ e ∈ N'(v)] − [e ∈ N(a) ∧ e ∈ N(v)],
+//
+// and core::meets_threshold stops merging at t+1 common neighbors.
+// Ingestion therefore builds each state inside disc(p, R) once (an update
+// uses the union of the old- and new-position discs), splices e into or out
+// of their tentative lists, and visits every adjacent pair inside the
+// disc(s) once, updating both endpoints' validated lists. e's own pairs are
+// always checked; any other pair only when Δ pushes it toward the other
+// verdict (Δ > 0 and rejected, Δ < 0 and validated). pair_checks() counts
+// the evaluations. Everything else is structurally shared with the previous
+// epoch: the node table path-copies only the chunks above the states it
+// replaces (service/node_table.h), so an event costs O(touched nodes · table
+// height), whatever n is. rebuild() recomputes the world from scratch,
+// evaluating each tentative edge once; the equivalence suite asserts that it,
+// the incremental path and a brute-force oracle agree byte for byte after
 // arbitrary event sequences.
 //
 // ## Concurrency
@@ -49,13 +58,13 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/key.h"
 #include "crypto/sha256.h"
 #include "service/events.h"
 #include "service/snapshot.h"
-#include "util/flat.h"
 #include "util/geometry.h"
 #include "util/ids.h"
 
@@ -87,7 +96,7 @@ class SpatialGrid {
   [[nodiscard]] std::uint64_t cell_key(util::Vec2 position) const;
 
   double cell_;
-  util::FlatMap<std::uint64_t, std::vector<Entry>> cells_;
+  std::unordered_map<std::uint64_t, std::vector<Entry>> cells_;
 };
 
 struct ServiceConfig {
@@ -156,6 +165,11 @@ class ValidationService {
   /// construction: the deterministic cost of ingestion, which grows with
   /// the nodes an event touches (times the table height), not with n.
   [[nodiscard]] std::uint64_t table_copies() const { return table_copies_; }
+  /// Threshold evaluations (core::meets_threshold calls) made by
+  /// seed_topology and every ingested event since construction; rebuild()
+  /// is not counted. Seeding makes one per undirected tentative edge, an
+  /// event at most one per adjacent pair inside its disc(s).
+  [[nodiscard]] std::uint64_t pair_checks() const { return pair_checks_; }
 
   /// C(id) over id's current tentative list, or nullptr when id is not
   /// live or no master key is configured. Maintained incrementally: each
@@ -164,7 +178,8 @@ class ValidationService {
   /// engine (bit-identical to core::binding_commitment). Call from the
   /// ingest thread only, like the mutators.
   [[nodiscard]] const crypto::Digest* binding_commitment_of(NodeId id) const {
-    return commitments_.find(id);
+    const auto it = commitments_.find(id);
+    return it == commitments_.end() ? nullptr : &it->second;
   }
   [[nodiscard]] std::size_t commitment_count() const { return commitments_.size(); }
 
@@ -172,14 +187,12 @@ class ValidationService {
   /// Tentative list for `id`: live nodes within R, excluding `id` itself.
   [[nodiscard]] topology::NeighborList derive_neighbors(NodeId id,
                                                         util::Vec2 position) const;
-  /// Validated list for `id` given the current tentative lists in `nodes`.
-  [[nodiscard]] topology::NeighborList derive_validated(NodeId id,
-                                                        const NodeTable& nodes) const;
   /// Writes the from-scratch states of `nodes` (all indexed in grid_) into
-  /// an empty `table`: every tentative list, then every validated list.
-  /// Shared by seed_topology and rebuild.
-  void derive_table(std::span<const std::pair<NodeId, util::Vec2>> nodes,
-                    NodeTable::Editor& table) const;
+  /// an empty `table`: every tentative list, then every validated list, one
+  /// threshold evaluation per undirected tentative edge. Returns the number
+  /// of evaluations. Shared by seed_topology and rebuild.
+  std::uint64_t derive_table(std::span<const std::pair<NodeId, util::Vec2>> nodes,
+                             NodeTable::Editor& table) const;
 
   ApplyResult apply_locked(const TopologyEvent& event, NodeTable::Editor& nodes);
   void publish(NodeTable::Editor& nodes);
@@ -198,10 +211,11 @@ class ValidationService {
   std::uint64_t epoch_ = 0;
   std::uint64_t events_applied_ = 0;
   std::uint64_t table_copies_ = 0;
+  std::uint64_t pair_checks_ = 0;
   /// Live nodes' binding commitments (empty without a master key). Not part
   /// of Snapshot -- commitments are secrets of the K-holding role, not of
-  /// the published topology.
-  util::FlatMap<NodeId, crypto::Digest> commitments_;
+  /// the published topology. Hashed, so a revoke erases in O(1).
+  std::unordered_map<NodeId, crypto::Digest> commitments_;
 
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const Snapshot> current_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace snd::core {
@@ -17,6 +19,52 @@ TEST(ThresholdTest, ExactBoundary) {
 TEST(ThresholdTest, ZeroThresholdNeedsOneCommon) {
   EXPECT_TRUE(meets_threshold({1}, {1}, 0));
   EXPECT_FALSE(meets_threshold({1}, {2}, 0));
+}
+
+topology::NeighborList random_sorted_list(util::Rng& rng, std::size_t universe,
+                                          double density) {
+  topology::NeighborList list;
+  for (NodeId id = 0; id < universe; ++id) {
+    if (rng.uniform(0.0, 1.0) < density) list.push_back(id);
+  }
+  return list;
+}
+
+TEST(ThresholdTest, EarlyExitAgreesWithFullIntersectionCount) {
+  // meets_threshold stops at the (t+1)-th common element; its verdict must
+  // be exactly the full count's, for every list shape and threshold.
+  util::Rng rng(2009);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t universe = 1 + static_cast<std::size_t>(rng.uniform(0.0, 80.0));
+    const auto a = random_sorted_list(rng, universe, rng.uniform(0.0, 1.0));
+    const auto b = random_sorted_list(rng, universe, rng.uniform(0.0, 1.0));
+    const std::size_t shorter = std::min(a.size(), b.size());
+    const std::size_t common = topology::intersection_size(a, b);
+    // t from 0 past min(|a|, |b|), where the verdict is false whatever the
+    // lists hold.
+    for (std::size_t t = 0; t <= shorter + 2; ++t) {
+      const bool expected = common >= t + 1;
+      ASSERT_EQ(meets_threshold(a, b, t), expected)
+          << "trial " << trial << " t=" << t << " |a|=" << a.size() << " |b|=" << b.size();
+      ASSERT_EQ(meets_threshold(b, a, t), expected);
+      accepted += expected ? 1 : 0;
+    }
+  }
+  EXPECT_GT(accepted, 1000u);  // both verdicts are well exercised
+
+  const topology::NeighborList empty;
+  const topology::NeighborList some = {1, 4, 9};
+  for (std::size_t t : {0u, 1u, 5u}) {
+    EXPECT_FALSE(meets_threshold(empty, empty, t));
+    EXPECT_FALSE(meets_threshold(empty, some, t));
+    EXPECT_FALSE(meets_threshold(some, empty, t));
+  }
+  EXPECT_TRUE(meets_threshold(some, some, 0));
+  EXPECT_TRUE(meets_threshold(some, some, 2));   // t + 1 == |a| == |b|
+  EXPECT_FALSE(meets_threshold(some, some, 3));  // t == min(|a|, |b|)
+  EXPECT_TRUE(meets_threshold({9}, some, 0));    // the match is the last element
+  EXPECT_FALSE(meets_threshold({10}, some, 0));
 }
 
 TEST(CommonNeighborValidatorTest, ValidatesWithEnoughOverlap) {

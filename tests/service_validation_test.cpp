@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <numbers>
@@ -173,6 +175,48 @@ TEST(ValidationServiceTest, IngestCopiesTrackTouchedNodesNotN) {
   // ratio stays far below the 16 of a per-event copy of the whole map.
   const double dense_small = copies_per_event(2'000, 1);
   EXPECT_LE(large, 2.0 * dense_small) << dense_small << " vs " << large;
+}
+
+TEST(ValidationServiceTest, PairChecksVisitEachPairOnce) {
+  const util::Rect field{{0.0, 0.0}, {200.0, 200.0}};
+  ValidationService service({25.0, 2, {}});
+  util::Rng rng(8);
+  std::vector<std::pair<NodeId, util::Vec2>> initial;
+  std::vector<NodeId> live;
+  for (NodeId id = 0; id < 300; ++id) {
+    initial.emplace_back(id, util::Vec2{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)});
+    live.push_back(id);
+  }
+  ASSERT_TRUE(service.seed_topology(initial).ok);
+  // Seeding evaluates each undirected tentative edge exactly once.
+  std::size_t directed = 0;
+  for (const auto& [id, state] : service.snapshot()->nodes()) directed += state->neighbors.size();
+  EXPECT_EQ(service.pair_checks(), directed / 2);
+  (void)service.rebuild();
+  EXPECT_EQ(service.pair_checks(), directed / 2) << "rebuild() is not counted";
+
+  // An event evaluates at most the pairs among the nodes it touches: e and
+  // everything within R of its old or new position.
+  const auto neighbors_of = [&](NodeId id) {
+    const NodeState* state = service.snapshot()->find(id);
+    return state == nullptr ? topology::NeighborList{} : state->neighbors;
+  };
+  std::uint64_t event_checks = 0;
+  for (const TopologyEvent& event : random_events(300, field, std::move(live), 9)) {
+    const topology::NeighborList before = neighbors_of(event.node);
+    const std::uint64_t checks_before = service.pair_checks();
+    ASSERT_TRUE(service.apply(event).ok);
+    const topology::NeighborList after = neighbors_of(event.node);
+    topology::NeighborList disc;
+    std::set_union(before.begin(), before.end(), after.begin(), after.end(),
+                   std::back_inserter(disc));
+    const std::size_t touched = disc.size() + (event.kind == EventKind::kRevoke ? 0 : 1);
+    const std::uint64_t checks = service.pair_checks() - checks_before;
+    EXPECT_LE(checks, touched * (touched - 1) / 2)
+        << event_kind_name(event.kind) << " of node " << event.node;
+    event_checks += checks;
+  }
+  EXPECT_GT(event_checks, 0u);
 }
 
 TEST(NodeTableTest, MatchesMapModelAndCommittedTablesNeverChange) {
