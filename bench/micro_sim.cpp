@@ -7,6 +7,8 @@
 // broadcast-resolution comparison on a 2000-node field and writes it as
 // BENCH_micro_sim.json into $SND_BENCH_DIR (default: the working directory),
 // the per-PR perf artifact CI uploads.
+// When the filter selects BM_SchedulerHold, its ns/event per queue depth
+// joins the artifact as the "scheduler_hold" block.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 
 #include "core/deployment_driver.h"
@@ -25,6 +28,7 @@
 #include "obs/tracer.h"
 #include "sim/deployment.h"
 #include "sim/scheduler.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -68,6 +72,42 @@ void BM_SchedulerPushPopDeliverySizedCapture(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SchedulerPushPopDeliverySizedCapture)->Arg(100000);
+
+/// ns/event of the latest BM_SchedulerHold run at each depth, written into
+/// BENCH_micro_sim.json when the filter selects the benchmark.
+std::map<std::int64_t, double> g_hold_ns_per_event;
+
+/// Classic hold model at a steady pending depth: every step pops the
+/// earliest event, whose delivery-sized action pushes one replacement at
+/// now + U[1 ns, 1 ms]. The queue never drains or grows, so the cost per
+/// event is the heap at that depth -- the shape of a large simulation's
+/// delivery traffic.
+void BM_SchedulerHold(benchmark::State& state) {
+  struct Hold {
+    std::array<std::uint8_t, 72> delivery_fields;  // packet handle + ids
+    sim::Scheduler* scheduler;
+    util::Rng* rng;
+    void operator()() const {
+      scheduler->schedule_at(
+          scheduler->now() + sim::Time::nanoseconds(rng->uniform_int(1, 1'000'000)), *this);
+    }
+  };
+  static_assert(sizeof(Hold) <= 88, "stays in EventAction's inline buffer");
+  const std::int64_t depth = state.range(0);
+  sim::Scheduler scheduler;
+  util::Rng rng(11);
+  const Hold hold{{}, &scheduler, &rng};
+  for (std::int64_t i = 0; i < depth; ++i) {
+    scheduler.schedule_at(sim::Time::nanoseconds(rng.uniform_int(1, 1'000'000)), hold);
+  }
+  const auto begin = std::chrono::steady_clock::now();
+  for (auto _ : state) benchmark::DoNotOptimize(scheduler.step());
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  g_hold_ns_per_event[depth] = elapsed_s * 1e9 / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerHold)->Arg(1000)->Arg(200000);
 
 void BM_BroadcastFanout(benchmark::State& state) {
   sim::Network network(std::make_unique<sim::UnitDiskModel>(1000.0), sim::ChannelConfig{}, 1);
@@ -248,7 +288,22 @@ int write_resolution_artifact() {
   const double events_null_overhead =
       trace_off.total_s > 0.0 ? trace_events.total_s / trace_off.total_s : 0.0;
 
-  char json[1024];
+  // Present only when the run included BM_SchedulerHold.
+  std::string hold_json;
+  if (!g_hold_ns_per_event.empty()) {
+    hold_json = ",\n  \"scheduler_hold\": {";
+    const char* separator = "";
+    for (const auto& [depth, ns] : g_hold_ns_per_event) {
+      char entry[96];
+      std::snprintf(entry, sizeof(entry), "%s\n    \"depth_%lld_ns_per_event\": %.2f",
+                    separator, static_cast<long long>(depth), ns);
+      hold_json += entry;
+      separator = ",";
+    }
+    hold_json += "\n  }";
+  }
+
+  char json[1280];
   std::snprintf(json, sizeof(json),
                 "{\n"
                 "  \"name\": \"micro_sim_broadcast_resolution\",\n"
@@ -272,7 +327,7 @@ int write_resolution_artifact() {
                 "    \"linear_scalar_us_per_tx\": %.3f,\n"
                 "    \"linear_strip_us_per_tx\": %.3f,\n"
                 "    \"linear_resolution_speedup\": %.2f\n"
-                "  }\n"
+                "  }%s\n"
                 "}\n",
                 kNodes, per_tx, linear.resolution_s / per_tx * 1e6,
                 grid.resolution_s / per_tx * 1e6, resolution_speedup, round_speedup,
@@ -281,7 +336,8 @@ int write_resolution_artifact() {
                 strip_off_grid.resolution_s / per_tx * 1e6,
                 strip_on_grid.resolution_s / per_tx * 1e6, strip_grid_speedup,
                 strip_off_linear.resolution_s / per_tx * 1e6,
-                strip_on_linear.resolution_s / per_tx * 1e6, strip_linear_speedup);
+                strip_on_linear.resolution_s / per_tx * 1e6, strip_linear_speedup,
+                hold_json.c_str());
 
   const std::string path = bench_artifact_path("BENCH_micro_sim.json");
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {

@@ -7,7 +7,8 @@ Usage:
 
 Both directories hold BENCH_micro_crypto.json / BENCH_micro_sim.json (any
 BENCH_*.json present in both is compared). Tracked series are the numeric
-leaves whose key names a per-operation cost ("*us_per*": lower is better).
+leaves whose key names a per-operation cost ("*us_per*" or "*ns_per*":
+lower is better) or a throughput ("*per_s*": higher is better).
 A tracked mean more than --threshold above the previous run emits a GitHub
 "::warning" annotation (or "::error" + exit 1 with --fail); missing previous
 artifacts are not an error, so the gate degrades gracefully on the first
@@ -36,10 +37,11 @@ def numeric_leaves(tree, prefix=""):
 
 
 def tracked(leaves):
-    """The series worth gating: per-operation times ("*us_per*", lower is
-    better) and throughputs ("*per_s*", higher is better)."""
+    """The series worth gating: per-operation times ("*us_per*" or
+    "*ns_per*", lower is better) and throughputs ("*per_s*", higher is
+    better)."""
     return {path: v for path, v in leaves.items()
-            if "us_per" in path or "per_s" in path}
+            if "us_per" in path or "ns_per" in path or "per_s" in path}
 
 
 def higher_is_better(path):

@@ -9,7 +9,17 @@ namespace snd::sim {
 
 EventId Scheduler::schedule_at(Time at, EventAction action) {
   const EventId id = next_id_++;
-  heap_.push_back(Entry{at < now_ ? now_ : at, id, std::move(action)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    assert(actions_.size() < UINT32_MAX && "more pending events than slot indices");
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  heap_.push_back(Entry{at < now_ ? now_ : at, id, slot});
   sift_up(heap_.size() - 1);
   return id;
 }
@@ -26,6 +36,7 @@ void Scheduler::cancel(EventId id) {
   if (!cancelled_bits_.test(index)) {
     cancelled_bits_.set(index);
     ++cancelled_count_;
+    backlog_unverified_ = true;
   }
   // Ids of already-fired events are indistinguishable from pending ones
   // here, but once the set clearly outnumbers the heap the excess must be
@@ -49,6 +60,7 @@ void Scheduler::clear_cancelled() {
   cancelled_bits_.resize(0);
   bits_base_ = next_id_;
   cancelled_count_ = 0;
+  backlog_unverified_ = false;
 }
 
 void Scheduler::sweep_cancelled() const {
@@ -69,13 +81,14 @@ void Scheduler::sweep_cancelled() const {
   cancelled_bits_ = std::move(live);
   bits_base_ = base;
   cancelled_count_ = count;
+  backlog_unverified_ = false;
 }
 
 std::uint64_t Scheduler::pending() const {
-  if (cancelled_backlog() > heap_.size()) sweep_cancelled();
-  const std::uint64_t backlog = cancelled_backlog();
-  const auto size = static_cast<std::uint64_t>(heap_.size());
-  return size > backlog ? size - backlog : 0;
+  // After a sweep every recorded id is in the heap, and pops keep it so.
+  if (backlog_unverified_) sweep_cancelled();
+  assert(cancelled_backlog() <= heap_.size());
+  return static_cast<std::uint64_t>(heap_.size()) - cancelled_backlog();
 }
 
 void Scheduler::set_next_event_id(EventId id) {
@@ -84,50 +97,43 @@ void Scheduler::set_next_event_id(EventId id) {
   clear_cancelled();
 }
 
-// Both sifts percolate a hole instead of swapping: an Entry is ~112 bytes
-// with a small-buffer action whose move runs through a trampoline, so a swap
-// costs three such moves per level where the hole costs one. The element
-// comparisons -- and therefore the final array -- are exactly those of the
-// textbook swap formulation.
+// Both sifts percolate a hole: the moving key is held aside and written
+// once at its final index. Keys are 24-byte PODs, so each level costs one
+// plain copy and no call through the action's type-erased relocate.
 
 void Scheduler::sift_up(std::size_t index) {
-  if (index == 0) return;
-  std::size_t parent = (index - 1) / 2;
-  if (!earlier(heap_[index], heap_[parent])) return;
-  Entry moving = std::move(heap_[index]);
-  do {
-    heap_[index] = std::move(heap_[parent]);
+  const Entry moving = heap_[index];
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / kArity;
+    if (!earlier(moving, heap_[parent])) break;
+    heap_[index] = heap_[parent];
     index = parent;
-    parent = (index - 1) / 2;
-  } while (index > 0 && earlier(moving, heap_[parent]));
-  heap_[index] = std::move(moving);
+  }
+  heap_[index] = moving;
 }
 
 void Scheduler::sift_down(std::size_t index) {
   const std::size_t n = heap_.size();
-  // Smallest of {value-at-i, left child, right child}, where the sinking
-  // element is passed explicitly because its slot currently holds the hole.
-  const auto smaller_child = [&](std::size_t i, const Entry& value) {
-    std::size_t best = i;
-    const Entry* best_entry = &value;
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = 2 * i + 2;
-    if (left < n && earlier(heap_[left], *best_entry)) {
-      best = left;
-      best_entry = &heap_[left];
+  const Entry moving = heap_[index];
+  for (;;) {
+    const std::size_t first = kArity * index + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < last; ++child) {
+      if (earlier(heap_[child], heap_[best])) best = child;
     }
-    if (right < n && earlier(heap_[right], *best_entry)) best = right;
-    return best;
-  };
-  std::size_t next = smaller_child(index, heap_[index]);
-  if (next == index) return;
-  Entry moving = std::move(heap_[index]);
-  do {
-    heap_[index] = std::move(heap_[next]);
-    index = next;
-    next = smaller_child(index, moving);
-  } while (next != index);
-  heap_[index] = std::move(moving);
+    if (!earlier(heap_[best], moving)) break;
+    heap_[index] = heap_[best];
+    index = best;
+  }
+  heap_[index] = moving;
+}
+
+void Scheduler::pop_root() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
 }
 
 void Scheduler::drop_cancelled_head() {
@@ -139,19 +145,18 @@ void Scheduler::drop_cancelled_head() {
   }
   while (!heap_.empty() && cancelled_backlog() != 0 && cancelled_contains(heap_.front().id)) {
     cancelled_erase(heap_.front().id);
-    if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    const std::uint32_t slot = heap_.front().slot;
+    actions_[slot] = nullptr;
+    free_slots_.push_back(slot);
+    pop_root();
   }
 }
 
 bool Scheduler::pop_next(Entry& out) {
   drop_cancelled_head();
   if (heap_.empty()) return false;
-  out = std::move(heap_.front());
-  if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  out = heap_.front();
+  pop_root();
   return true;
 }
 
@@ -166,7 +171,11 @@ bool Scheduler::step() {
   Entry entry;
   if (!pop_next(entry)) return false;
   now_ = entry.at;
-  entry.action();
+  // Moved out before the call: the action may schedule events, which can
+  // reuse this slot or grow (and so relocate) the pool.
+  EventAction action = std::move(actions_[entry.slot]);
+  free_slots_.push_back(entry.slot);
+  action();
   ++executed_;
   return true;
 }

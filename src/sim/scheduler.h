@@ -2,13 +2,15 @@
 // sequence). The sequence tiebreak makes same-timestamp events fire in
 // scheduling order, which keeps every run deterministic.
 //
-// Implemented as an explicit binary heap with actions stored inline:
-// simulations push tens of millions of delivery events, so the hot path
-// avoids any per-event node allocation or hash-map traffic. Actions are
-// small-buffer-optimized (util::InplaceFunction) for the same reason --
-// std::function would heap-allocate every delivery closure. Cancellation is
-// the rare case and uses a windowed bitset over event ids, consulted lazily
-// on pop.
+// Implemented as an explicit 4-ary heap of 24-byte (time, id, slot) keys
+// over a pool of action slots: simulations push tens of millions of
+// delivery events, so the hot path avoids any per-event node allocation or
+// hash-map traffic, and a sift copies plain keys -- an action is moved into
+// its slot once when scheduled and out once when it fires, never while the
+// heap reorders. Actions are small-buffer-optimized (util::InplaceFunction)
+// for the same reason -- std::function would heap-allocate every delivery
+// closure. Cancellation is the rare case and uses a windowed bitset over
+// event ids, consulted lazily on pop.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +44,9 @@ class Scheduler {
   [[nodiscard]] bool empty() const { return pending() == 0; }
   [[nodiscard]] Time now() const { return now_; }
   /// Live (non-cancelled) events still waiting to fire. The cancel set may
-  /// briefly contain ids of events that already fired (cancel-after-fire is
-  /// a no-op, swept lazily), so the subtraction saturates; when the set
-  /// provably holds stale ids (it outnumbers the heap) it is swept first,
-  /// keeping this count exact in the face of heavy cancel-after-fire.
+  /// contain ids of events that already fired (cancel-after-fire is a no-op,
+  /// swept lazily), so after any cancel() the set is swept first -- O(heap)
+  /// once per burst of cancels -- keeping the count exact.
   /// uint64_t (not size_t) so the count cannot wrap on 32-bit hosts in
   /// simulations pushing past 2^32 events.
   [[nodiscard]] std::uint64_t pending() const;
@@ -73,16 +74,21 @@ class Scheduler {
   void run() { run_until(Time::infinity()); }
 
  private:
+  /// Heap key: the action itself stays put in actions_[slot].
   struct Entry {
     Time at;
     EventId id;
-    EventAction action;
+    std::uint32_t slot;
   };
 
   static bool earlier(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.id < b.id;
   }
+
+  /// Heap arity: half the depth of a binary heap, and a node's four
+  /// children span 96 bytes (1.5 cache lines).
+  static constexpr std::size_t kArity = 4;
 
   /// Stale-cancellation tolerance: a sweep triggers once cancelled_ exceeds
   /// the heap size by this much (amortizes the O(heap) sweep cost).
@@ -94,7 +100,10 @@ class Scheduler {
   /// already fired); afterwards the backlog <= heap_.size(). Const because
   /// it only compacts bookkeeping -- observable state is unchanged.
   void sweep_cancelled() const;
-  /// Removes cancelled entries sitting at the heap root.
+  /// Removes the root key, restoring the heap property.
+  void pop_root();
+  /// Removes cancelled entries sitting at the heap root and frees their
+  /// action slots (destroying the actions).
   void drop_cancelled_head();
   /// Pops the top entry, skipping cancelled ones. Returns false if empty.
   bool pop_next(Entry& out);
@@ -111,6 +120,10 @@ class Scheduler {
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;
+  /// Action pool indexed by Entry::slot; free_slots_ lists the empty ones,
+  /// reused before the pool grows.
+  std::vector<EventAction> actions_;
+  std::vector<std::uint32_t> free_slots_;
   /// Cancelled ids: one bit per event id in the window
   /// [bits_base_, next_id_). bits_base_ never exceeds the oldest pending
   /// id, so any id below it provably fired already and its cancel is a
@@ -119,6 +132,10 @@ class Scheduler {
   mutable util::BitSet cancelled_bits_;
   mutable EventId bits_base_ = 1;
   mutable std::uint64_t cancelled_count_ = 0;
+  /// Set when cancel() records an id since the last sweep: that id may
+  /// belong to an event that already fired, so cancelled_count_ may
+  /// overstate the cancelled events still in the heap.
+  mutable bool backlog_unverified_ = false;
 };
 
 }  // namespace snd::sim

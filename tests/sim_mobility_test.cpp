@@ -7,12 +7,15 @@
 // grid and linear paths.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "adversary/mobility.h"
 #include "core/deployment_driver.h"
+#include "obs/sink.h"
 #include "sim/network.h"
 
 namespace snd::sim {
@@ -149,6 +152,65 @@ TEST(MidAirtimeMoveTest, InFlightDeliveriesUseTransmitTimePositions) {
   const AirtimeOutcome linear = run_mid_airtime_move(false);
   EXPECT_EQ(linear.moved_out_received, grid.moved_out_received);
   EXPECT_EQ(linear.moved_in_received, grid.moved_in_received);
+}
+
+// -- Event-order golden -------------------------------------------------------
+
+/// FNV-1a over the JSON-lines form of every event, newline-terminated: the
+/// exact bytes `--trace-json` writes for the same run.
+class DigestSink final : public obs::Sink {
+ public:
+  void on_event(const obs::Event& event) override {
+    const std::string line = obs::JsonLinesSink::to_json(event) + "\n";
+    for (const char c : line) {
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+    bytes_ += line.size();
+    ++events_;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t events_ = 0;
+};
+
+// A fig3-style trial (center node plus a uniform round in a 100 m field,
+// R = 50 m) with a quarter of the devices walking and two crash/reboot
+// cycles, so moves, cancels of pending and of already-fired events, and
+// same-timestamp deliveries all interleave in the scheduler. Every event is
+// hashed in emission order. The digest was recorded before the scheduler's
+// heap moved from a binary heap of inline actions to a 4-ary heap of keys
+// over a slot pool: the (time, id) order is total, so no queue layout may
+// change a single byte of the stream.
+TEST(EventOrderGoldenTest, WalkingFig3TrialStreamIsUnchanged) {
+  core::DeploymentConfig config;
+  config.field = {{0.0, 0.0}, {100.0, 100.0}};
+  config.radio_range = 50.0;
+  config.protocol.threshold_t = 4;
+  config.seed = 20090622;
+  core::SndDeployment deployment(config);
+  auto sink = std::make_shared<DigestSink>();
+  deployment.network().tracer() = obs::Tracer(obs::TraceLevel::kEvents, sink);
+
+  std::vector<NodeId> pool{deployment.deploy_node_at(config.field.center())};
+  const std::vector<NodeId> round = deployment.deploy_round(59);
+  pool.insert(pool.end(), round.begin(), round.end());
+  std::vector<DeviceId> movers;
+  for (DeviceId d = 0; d < 60; d += 4) movers.push_back(d);
+  adversary::WaypointMobility walk(deployment.network(), config.field, std::move(movers), 40.0,
+                                   Time::milliseconds(20), 30, 17);
+  walk.schedule();
+  adversary::ChurnSchedule churn(deployment, pool, 6, 2, Time::milliseconds(120),
+                                 Time::milliseconds(250), Time::milliseconds(90), 23);
+  churn.schedule();
+  deployment.run();
+
+  EXPECT_EQ(walk.moves_applied(), 436u);
+  EXPECT_EQ(churn.crashes(), 12u);
+  EXPECT_EQ(churn.reboots(), 12u);
+  EXPECT_EQ(deployment.network().scheduler().executed(), 11816u);
+  EXPECT_EQ(sink->events_, 302248u);
+  EXPECT_EQ(sink->bytes_, 25769743u);
+  EXPECT_EQ(sink->hash_, 0xe24dedb8ea820df7ULL);
 }
 
 }  // namespace

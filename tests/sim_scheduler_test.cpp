@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace snd::sim {
 namespace {
@@ -333,6 +339,184 @@ TEST(SchedulerTest, ManyEventsStressOrdering) {
   scheduler.run();
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_EQ(fired.size(), 1000u);
+}
+
+// -- Reference model ----------------------------------------------------------
+
+/// Drives a Scheduler and a std::set<(at, id)> model with the same seeded
+/// operations. Fired actions advance the model themselves (checking that
+/// the event firing is the model's minimum), then schedule and cancel
+/// further events through the same harness, so nested operations hit both
+/// sides identically.
+class ModelHarness {
+ public:
+  explicit ModelHarness(std::uint64_t seed) : rng_(seed) {}
+
+  /// One random top-level operation, then the full state comparison.
+  void random_operation() {
+    const std::uint64_t pick = rng_.uniform_int(std::uint64_t{100});
+    if (pick < 38) {
+      schedule(random_time());
+    } else if (pick < 40) {
+      // A burst deepens the heap well past a handful of levels.
+      for (int i = 0; i < 64; ++i) schedule(random_time());
+    } else if (pick < 60) {
+      cancel(random_cancel_target());
+    } else if (pick < 85) {
+      const std::uint64_t before = model_executed_;
+      const bool stepped = real_.step();
+      EXPECT_EQ(stepped, before != model_executed_);
+      EXPECT_LE(model_executed_, before + 1);
+    } else {
+      const Time deadline = now_ + Time::nanoseconds(rng_.uniform_int(-5, 40));
+      const Time returned = real_.run_until(deadline);
+      EXPECT_EQ(returned, now_);
+      EXPECT_TRUE(model_.empty() || model_.begin()->first > deadline.ns());
+    }
+    expect_matches_model();
+  }
+
+  void expect_matches_model() const {
+    EXPECT_EQ(real_.now(), now_);
+    EXPECT_EQ(real_.pending(), model_.size());
+    EXPECT_EQ(real_.empty(), model_.empty());
+    EXPECT_EQ(real_.executed(), model_executed_);
+    EXPECT_EQ(order_mismatches_, 0u);
+  }
+
+  [[nodiscard]] std::uint64_t fired() const { return model_executed_; }
+  [[nodiscard]] std::uint64_t nested_cancels() const { return nested_cancels_; }
+
+ private:
+  /// Times around the clock: up to 5 ns in the past (clamped to now) and
+  /// a narrow future window, so equal timestamps are common.
+  Time random_time() { return now_ + Time::nanoseconds(rng_.uniform_int(-5, 30)); }
+
+  void schedule(Time at) {
+    // Ids are issued in sequence (checked below), so next_id_ is this
+    // event's id.
+    const EventId id = real_.schedule_at(at, [this, self = next_id_] { fire(self); });
+    EXPECT_EQ(id, next_id_);
+    next_id_ = id + 1;
+    model_.emplace(std::max(at, now_).ns(), id);
+  }
+
+  void cancel(EventId id) {
+    real_.cancel(id);
+    for (auto it = model_.begin(); it != model_.end(); ++it) {
+      if (it->second == id) {
+        model_.erase(it);
+        retired_.push_back(id);
+        return;
+      }
+    }
+  }
+
+  /// Pending, head, already fired or cancelled, or never issued.
+  EventId random_cancel_target() {
+    const std::uint64_t kind = rng_.uniform_int(std::uint64_t{4});
+    if (kind == 0 && !model_.empty()) {
+      return std::next(model_.begin(),
+                       static_cast<std::ptrdiff_t>(rng_.uniform_int(model_.size())))
+          ->second;
+    }
+    if (kind == 1 && !model_.empty()) return model_.begin()->second;
+    if (kind == 2 && !retired_.empty()) return retired_[rng_.uniform_int(retired_.size())];
+    return next_id_ + rng_.uniform_int(std::uint64_t{3});
+  }
+
+  void fire(EventId self) {
+    if (model_.empty() || model_.begin()->second != self ||
+        model_.begin()->first != real_.now().ns()) {
+      ++order_mismatches_;
+    } else {
+      model_.erase(model_.begin());
+    }
+    now_ = real_.now();
+    ++model_executed_;
+    retired_.push_back(self);
+    // Nested work: mean 0.7 children per fire keeps every run finite.
+    const std::uint64_t roll = rng_.uniform_int(std::uint64_t{10});
+    if (roll >= 5) schedule(random_time());
+    if (roll >= 8) schedule(random_time());
+    if (rng_.chance(0.3)) {
+      cancel(random_cancel_target());
+      ++nested_cancels_;
+    }
+  }
+
+  Scheduler real_;
+  util::Rng rng_;
+  std::set<std::pair<std::int64_t, EventId>> model_;
+  std::vector<EventId> retired_;
+  EventId next_id_ = 1;
+  Time now_ = Time::zero();
+  std::uint64_t model_executed_ = 0;
+  std::uint64_t order_mismatches_ = 0;
+  std::uint64_t nested_cancels_ = 0;
+};
+
+TEST(SchedulerModelTest, RandomOperationsMatchOrderedSetModel) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    ModelHarness harness(seed);
+    for (int op = 0; op < 12'000; ++op) {
+      harness.random_operation();
+      if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", operation " << op;
+    }
+    EXPECT_GT(harness.fired(), 5'000u);
+    EXPECT_GT(harness.nested_cancels(), 500u);
+  }
+}
+
+// -- Relocation bound ---------------------------------------------------------
+
+struct MoveLog {
+  int moves = 0;
+  int copies = 0;
+  int moves_at_call = -1;
+};
+
+/// Callable that counts its own moves and copies.
+struct CountedAction {
+  MoveLog* log;
+  explicit CountedAction(MoveLog* l) : log(l) {}
+  CountedAction(const CountedAction& other) : log(other.log) { ++log->copies; }
+  CountedAction(CountedAction&& other) noexcept : log(other.log) { ++log->moves; }
+  CountedAction& operator=(const CountedAction&) = delete;
+  CountedAction& operator=(CountedAction&&) = delete;
+  ~CountedAction() = default;
+  void operator()() const { log->moves_at_call = log->moves; }
+};
+
+/// Moves of one action between schedule_at and its invocation, queued
+/// mid-way through `depth` other events. One step runs first so the action
+/// lands in a recycled slot rather than in a growing pool (pool growth
+/// relocates every action, amortized O(1) per event over a run).
+MoveLog moves_at_depth(std::size_t depth) {
+  Scheduler scheduler;
+  for (std::size_t i = 0; i < depth; ++i) {
+    scheduler.schedule_at(Time::nanoseconds(static_cast<std::int64_t>(1 + (i * 7919) % depth)),
+                          [] {});
+  }
+  scheduler.step();
+  MoveLog log;
+  scheduler.schedule_at(Time::nanoseconds(static_cast<std::int64_t>(depth / 2)),
+                        CountedAction(&log));
+  scheduler.run();
+  return log;
+}
+
+TEST(SchedulerRelocationTest, QueuedActionMovesAConstantNumberOfTimes) {
+  // Heap keys are sifted, actions are not: from schedule_at to the call an
+  // action is moved into the EventAction parameter, into its slot, and out
+  // for the call, however deep the queue.
+  const MoveLog shallow = moves_at_depth(10);
+  const MoveLog deep = moves_at_depth(200'000);
+  EXPECT_EQ(shallow.copies, 0);
+  EXPECT_EQ(deep.copies, 0);
+  EXPECT_EQ(shallow.moves_at_call, deep.moves_at_call);
+  EXPECT_GE(shallow.moves_at_call, 1);
+  EXPECT_LE(shallow.moves_at_call, 3);
 }
 
 }  // namespace
