@@ -287,6 +287,8 @@ RoundTripCost measure_roundtrip(const std::shared_ptr<crypto::KeyPredistribution
 struct CommitmentCost {
   double us_per_commit = 0.0;
   double commits_per_s = 0.0;
+  std::uint64_t hash_ops = 0;  ///< SHA-256 compressions over the timed rounds
+  std::vector<crypto::Digest> digests;  ///< the last round's commitments
 };
 
 /// Wall-clock of batched binding-commitment derivation (256 commitments per
@@ -307,34 +309,43 @@ CommitmentCost measure_commitments(int width, int rounds) {
     specs[i] = {static_cast<NodeId>(i + 1), 0, &lists[i]};
   }
   const crypto::SymmetricKey master = crypto::SymmetricKey::from_seed(12);
-  std::vector<crypto::Digest> out(kBatch);
+  CommitmentCost cost;
+  cost.digests.resize(kBatch);
 
-  core::binding_commitments(master, specs, out);  // warm-up
+  core::binding_commitments(master, specs, cost.digests);  // warm-up
+  const std::uint64_t ops_before = crypto::hash_op_count();
   const auto begin = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) core::binding_commitments(master, specs, out);
+  for (int r = 0; r < rounds; ++r) core::binding_commitments(master, specs, cost.digests);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  cost.hash_ops = crypto::hash_op_count() - ops_before;
   util::set_simd_enabled(true);
   util::set_forced_simd_tier(std::nullopt);
   const double total = static_cast<double>(rounds) * kBatch;
-  return {seconds / total * 1e6, total / seconds};
+  cost.us_per_commit = seconds / total * 1e6;
+  cost.commits_per_s = total / seconds;
+  return cost;
 }
 
 /// Commitment-throughput width series (serial vs 4-lane vs 8-lane), appended
-/// to the artifact. Returns 0 when the headline >= 2x win at width 4 holds
-/// (gated only where SSE2 exists; elsewhere the scalar fallback is the
-/// point, not the speedup).
+/// to the artifact. The speedups are trend values only: a wall-clock ratio
+/// of two loops on a shared host is not a pass/fail fact. Returns 0 when
+/// the exact contract holds: every width the CPU has produces the serial
+/// path's commitments byte for byte, with the same number of compressions.
 int write_commitment_batch_block(char* json, std::size_t cap) {
   constexpr int kRounds = 200;
   const bool have_sse2 = util::detected_simd_tier() >= util::SimdTier::kSse2;
   const bool have_avx2 = util::detected_simd_tier() >= util::SimdTier::kAvx2;
 
   const CommitmentCost w1 = measure_commitments(1, kRounds);
-  const CommitmentCost w4 = have_sse2 ? measure_commitments(4, kRounds) : CommitmentCost{};
-  const CommitmentCost w8 = have_avx2 ? measure_commitments(8, kRounds) : CommitmentCost{};
+  const CommitmentCost w4 = have_sse2 ? measure_commitments(4, kRounds) : w1;
+  const CommitmentCost w8 = have_avx2 ? measure_commitments(8, kRounds) : w1;
 
-  const double w4_speedup = w4.us_per_commit > 0.0 ? w1.us_per_commit / w4.us_per_commit : 0.0;
-  const double w8_speedup = w8.us_per_commit > 0.0 ? w1.us_per_commit / w8.us_per_commit : 0.0;
+  const double w4_speedup = have_sse2 ? w1.us_per_commit / w4.us_per_commit : 0.0;
+  const double w8_speedup = have_avx2 ? w1.us_per_commit / w8.us_per_commit : 0.0;
+  const bool identical = w4.digests == w1.digests && w8.digests == w1.digests;
+  const bool same_work = w4.hash_ops == w1.hash_ops && w8.hash_ops == w1.hash_ops;
+  const double commits = static_cast<double>(kRounds) * static_cast<double>(w1.digests.size());
 
   std::snprintf(json, cap,
                 "  \"commitment_batch\": {\n"
@@ -347,13 +358,22 @@ int write_commitment_batch_block(char* json, std::size_t cap) {
                 "    \"w8_speedup\": %.2f,\n"
                 "    \"w1_commits_per_s\": %.0f,\n"
                 "    \"w4_commits_per_s\": %.0f,\n"
-                "    \"w8_commits_per_s\": %.0f\n"
+                "    \"w8_commits_per_s\": %.0f,\n"
+                "    \"hash_ops_per_commit\": %.2f,\n"
+                "    \"widths_identical\": %s\n"
                 "  }\n",
-                w1.us_per_commit, w4.us_per_commit, w8.us_per_commit, w4_speedup, w8_speedup,
-                w1.commits_per_s, w4.commits_per_s, w8.commits_per_s);
+                w1.us_per_commit, have_sse2 ? w4.us_per_commit : 0.0,
+                have_avx2 ? w8.us_per_commit : 0.0, w4_speedup, w8_speedup, w1.commits_per_s,
+                have_sse2 ? w4.commits_per_s : 0.0, have_avx2 ? w8.commits_per_s : 0.0,
+                static_cast<double>(w1.hash_ops) / commits,
+                identical && same_work ? "true" : "false");
   std::printf("commitment batch: serial %.2f us, w4 %.2f us (%.2fx), w8 %.2f us (%.2fx)\n",
               w1.us_per_commit, w4.us_per_commit, w4_speedup, w8.us_per_commit, w8_speedup);
-  return (!have_sse2 || w4_speedup >= 2.0) ? 0 : 1;
+  std::printf("commitment widths: digests %s, hash ops %llu / %llu / %llu\n",
+              identical ? "identical" : "DIFFER", static_cast<unsigned long long>(w1.hash_ops),
+              static_cast<unsigned long long>(w4.hash_ops),
+              static_cast<unsigned long long>(w8.hash_ops));
+  return identical && same_work ? 0 : 1;
 }
 
 /// SHA-256 compressions one warm send+open round trip costs: the sender's
@@ -410,8 +430,8 @@ int write_crypto_artifact() {
               static_cast<unsigned long long>(kHashOpsPerMessage));
   // Gate: the round trip's work count must be exactly the cached-midstate
   // cost for both schemes (any re-derivation or extra hashing shows up
-  // here), and the batched commitment path must hold its >= 2x at width 4
-  // wherever SSE2 exists.
+  // here), and every commitment width must match the serial path's digests
+  // and compression count exactly.
   const std::uint64_t expected_ops = kHashOpsPerMessage * kMessages;
   const bool work_ok = kdc_cost.hash_ops == expected_ops && blundo_cost.hash_ops == expected_ops;
   return (work_ok && batch_gate == 0) ? 0 : 1;

@@ -17,8 +17,10 @@
 // exit 1 on divergence). Results go to BENCH_serve.json: QPS plus
 // query.us_per_query_p50/p99 and ingest.us_per_event_p50/p99, which
 // ci/bench_trend.py picks up automatically ("us_per" keys are trend-gated),
-// and ingest.pair_checks_per_event, the deterministic threshold work per
-// ingested event (in-process mode; null over a socket).
+// plus the deterministic work per ingested event -- ingest.pair_checks_per_event
+// (threshold evaluations) and ingest.table_copies_per_event (node-table
+// chunks copied or created) -- and the node arena's peak live and retired
+// slot counts (in-process mode; all null over a socket).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -239,6 +241,7 @@ int main(int argc, char** argv) {
   std::size_t accepted = 0;
   std::size_t events_sent = 0;
   const std::uint64_t seed_pair_checks = service.pair_checks();
+  const std::uint64_t seed_table_copies = service.table_copies();
   const auto run_start = Clock::now();
   for (std::size_t i = 0; i < workload.queries.size(); ++i) {
     if (event_every != 0 && i % event_every == 0 && events_sent < workload.events.size()) {
@@ -274,16 +277,26 @@ int main(int argc, char** argv) {
   const double wall_s = since_ns(run_start) / 1e9;
   if (socket_fd >= 0) ::close(socket_fd);
   // Over a socket the events reach the daemon's service, not this one.
-  std::string pair_checks_per_event = "null";
-  if (!socket_mode) {
+  const auto inproc_figure = [&](const char* format, double value) -> std::string {
+    if (socket_mode) return "null";
     char formatted[32];
-    std::snprintf(formatted, sizeof(formatted), "%.2f",
-                  ingest_ns.count() == 0
-                      ? 0.0
-                      : static_cast<double>(service.pair_checks() - seed_pair_checks) /
-                            static_cast<double>(ingest_ns.count()));
-    pair_checks_per_event = formatted;
-  }
+    std::snprintf(formatted, sizeof(formatted), format, value);
+    return formatted;
+  };
+  const auto per_event = [&](std::uint64_t total) {
+    return ingest_ns.count() == 0
+               ? 0.0
+               : static_cast<double>(total) / static_cast<double>(ingest_ns.count());
+  };
+  const std::string pair_checks_per_event =
+      inproc_figure("%.2f", per_event(service.pair_checks() - seed_pair_checks));
+  const std::string table_copies_per_event =
+      inproc_figure("%.2f", per_event(service.table_copies() - seed_table_copies));
+  const service::ArenaUsage arena = service.arena_usage();
+  const std::string peak_live_slots =
+      inproc_figure("%.0f", static_cast<double>(arena.peak_live_slots));
+  const std::string peak_retired_slots =
+      inproc_figure("%.0f", static_cast<double>(arena.peak_retired_slots));
 
   const double qps = static_cast<double>(queries) / wall_s;
   const double p50_us = latency_ns.percentile(50.0) / 1e3;
@@ -293,8 +306,11 @@ int main(int argc, char** argv) {
               queries, wall_s, qps, p50_us, p99_us,
               100.0 * static_cast<double>(accepted) / static_cast<double>(queries));
   if (ingest_ns.count() > 0) {
-    std::printf("%zu events ingested, p50 %.1f us, p99 %.1f us\n", ingest_ns.count(),
-                ingest_ns.percentile(50.0) / 1e3, ingest_ns.percentile(99.0) / 1e3);
+    std::printf("%zu events ingested, p50 %.1f us, p99 %.1f us; per event: %s pair checks, "
+                "%s table copies\n",
+                ingest_ns.count(), ingest_ns.percentile(50.0) / 1e3,
+                ingest_ns.percentile(99.0) / 1e3, pair_checks_per_event.c_str(),
+                table_copies_per_event.c_str());
   }
 
   bool equivalent = true;
@@ -311,7 +327,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  char json[1024];
+  char json[2048];
   std::snprintf(json, sizeof(json),
                 "{\n"
                 "  \"name\": \"serve_qps\",\n"
@@ -329,7 +345,12 @@ int main(int argc, char** argv) {
                 "  \"ingest\": {\n"
                 "    \"us_per_event_p50\": %.2f,\n"
                 "    \"us_per_event_p99\": %.2f,\n"
-                "    \"pair_checks_per_event\": %s\n"
+                "    \"pair_checks_per_event\": %s,\n"
+                "    \"table_copies_per_event\": %s\n"
+                "  },\n"
+                "  \"arena\": {\n"
+                "    \"peak_live_slots\": %s,\n"
+                "    \"peak_retired_slots\": %s\n"
                 "  },\n"
                 "  \"accepted_fraction\": %.4f,\n"
                 "  \"equivalence_gate\": %s\n"
@@ -339,7 +360,8 @@ int main(int argc, char** argv) {
                 latency_ns.mean() / 1e3,
                 ingest_ns.count() > 0 ? ingest_ns.percentile(50.0) / 1e3 : 0.0,
                 ingest_ns.count() > 0 ? ingest_ns.percentile(99.0) / 1e3 : 0.0,
-                pair_checks_per_event.c_str(),
+                pair_checks_per_event.c_str(), table_copies_per_event.c_str(),
+                peak_live_slots.c_str(), peak_retired_slots.c_str(),
                 static_cast<double>(accepted) / static_cast<double>(queries),
                 equivalent ? "true" : "false");
   const std::string path = bench_artifact_path("BENCH_serve.json");

@@ -1,21 +1,40 @@
-// The service's node table: a persistent map from NodeId to the immutable
-// per-node state, shared between the epochs it publishes.
+// The service's node table: a persistent map from NodeId to per-node state,
+// shared between the epochs it publishes, and the arena both live in.
 //
-// A NodeTable is a radix trie over the id's bits, 5 bits (fanout 32) per
-// level. Leaves hold shared_ptr<const NodeState> slots, branches hold child
-// chunks, and every chunk carries a 32-bit occupancy mask. The height is the
+// Storage. A NodeArena keeps NodeStates and table chunks in two pools of
+// fixed-size pages, and names every slot by a u32 index. Pages never move,
+// so growing a pool never moves a slot a reader is looking at. The service
+// owns one arena and shares it with every Snapshot it publishes.
+//
+// Trie. A NodeTable is a radix trie over the id's bits, 5 bits (fanout 32)
+// per level. A chunk is 32 u32 slots plus a 32-bit occupancy mask: a leaf's
+// slots index states, a branch's index child chunks. The height is the
 // fewest levels whose id range covers the largest id ever inserted (at most
 // 7 for a 32-bit id), so find() walks a fixed number of levels and searches
 // nothing.
 //
-// A table is a value: copying one copies a root pointer. Writes go through
-// an Editor, which path-copies the chunks from the root down to the written
-// slot. Each Editor draws a fresh edit token; a chunk it copied or created
+// Edits. A table is a value (root index, height, size). Writes go through an
+// Editor, which path-copies the chunks from the root down to the written
+// slot: a copy is one 144-byte memcpy, with no reference count anywhere.
+// Each Editor draws a fresh edit token; a chunk it copied or created
 // carries that token and is written in place by later writes of the same
 // edit, so one edit copies each chunk at most once however many slots under
 // it change. commit() hands out the edited table and retires the token: no
-// chunk reachable from a committed table is ever written again, so committed
-// tables may be shared freely, across threads too.
+// chunk reachable from a committed table is ever written again.
+//
+// Reclamation. What an edit replaces (the chunks it copied or pruned, the
+// states it overwrote or erased) is retired, not freed: older tables may
+// still reach it. seal(epoch) closes the batch retired since the last seal,
+// which no table of `epoch` or later reaches, and recycles every sealed
+// batch that no pinned epoch still reaches. A Snapshot pins its epoch for
+// its whole lifetime. A recycled state keeps the capacity of its lists, so
+// steady-state ingestion writes states without allocating.
+//
+// Threads. One writer edits, seals and reads usage(). pin() and unpin() may
+// run on any thread; they and the recycling step share the arena's mutex.
+// Any thread may read a table whose epoch it keeps pinned: the slots it
+// reaches were written before the table was published and are not written
+// again until that epoch is unpinned.
 #pragma once
 
 #include <array>
@@ -24,7 +43,9 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "topology/graph.h"
 #include "util/geometry.h"
@@ -32,8 +53,9 @@
 
 namespace snd::service {
 
-/// Everything the service knows about one live node. Immutable once
-/// published (always held as shared_ptr<const NodeState>).
+/// Everything the service knows about one live node. Written into its arena
+/// slot before the first table that reaches it is committed; immutable from
+/// then on.
 struct NodeState {
   util::Vec2 position;
   /// N(u): tentative neighbors, i.e. live nodes within radio range. Sorted.
@@ -42,12 +64,116 @@ struct NodeState {
   topology::NeighborList validated;
 };
 
-class NodeTable {
-  struct Chunk;
-  struct Leaf;
+/// One trie node. A leaf's slots index states, a branch's index child
+/// chunks; an unoccupied slot holds kEmpty.
+struct TableChunk {
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  std::array<std::uint32_t, 32> slots;
+  /// Token of the edit that may still write this chunk in place; an edit
+  /// that finds any other token copies the chunk first.
+  std::uint64_t edit;
+  /// Bit i set: slot i is occupied (a child chunk is never empty).
+  std::uint32_t occupied;
+};
 
+/// Slot counts of a NodeArena (see usage()).
+struct ArenaUsage {
+  /// States reachable from the newest table, plus any an open edit holds.
+  std::size_t live_states = 0;
+  /// States replaced by an edit and not recycled yet.
+  std::size_t retired_states = 0;
+  std::size_t retired_chunks = 0;
+  /// Highest live and retired slot counts (states + chunks) seen at any
+  /// seal, the retired count taken before that seal recycles.
+  std::size_t peak_live_slots = 0;
+  std::size_t peak_retired_slots = 0;
+};
+
+class NodeArena {
  public:
-  using StatePtr = std::shared_ptr<const NodeState>;
+  NodeArena() = default;
+  NodeArena(const NodeArena&) = delete;
+  NodeArena& operator=(const NodeArena&) = delete;
+
+  [[nodiscard]] const NodeState& state(std::uint32_t slot) const { return states_[slot]; }
+  [[nodiscard]] const TableChunk& chunk(std::uint32_t slot) const { return chunks_[slot]; }
+
+  /// Keeps every slot a table of `epoch` reaches from being recycled until
+  /// the matching unpin(). Any thread; pins of one epoch may repeat.
+  void pin(std::uint64_t epoch);
+  void unpin(std::uint64_t epoch);
+
+  /// Writer: the slots retired since the last seal are reached by no table
+  /// of `epoch` or later. Recycles every sealed batch that no pinned epoch
+  /// below its own still reaches. `epoch` never decreases between calls.
+  void seal(std::uint64_t epoch);
+
+  /// Writer only.
+  [[nodiscard]] ArenaUsage usage() const;
+
+ private:
+  friend class NodeTable;
+
+  /// Slots of T in pages of kPageSize that never move once allocated; a
+  /// fixed directory of page pointers, allocated up front but only touched
+  /// as pages are added, lets readers index it while the writer grows it.
+  template <typename T>
+  class Pool {
+   public:
+    static constexpr unsigned kPageBits = 10;
+    static constexpr std::uint32_t kPageSize = 1u << kPageBits;
+    static constexpr std::uint32_t kMaxPages = 1u << 16;  // 64M slots
+
+    Pool() : pages_(std::make_unique_for_overwrite<T*[]>(kMaxPages)) {}
+    Pool(const Pool&) = delete;
+    Pool& operator=(const Pool&) = delete;
+    ~Pool();
+
+    T& operator[](std::uint32_t slot) const {
+      return pages_[slot >> kPageBits][slot & (kPageSize - 1)];
+    }
+    /// A free slot (a recycled one first), its contents unspecified.
+    [[nodiscard]] std::uint32_t acquire();
+    /// Back to the free list at once: for slots no table ever reached.
+    void release(std::uint32_t slot) { free_.push_back(slot); }
+    void retire(std::uint32_t slot) { retired_.push_back(slot); }
+    /// Frees the oldest `count` retired slots.
+    void recycle(std::size_t count);
+
+    [[nodiscard]] std::size_t retired() const { return retired_.size(); }
+    [[nodiscard]] std::size_t live() const { return size_ - free_.size() - retired_.size(); }
+
+   private:
+    std::unique_ptr<T*[]> pages_;
+    std::uint32_t size_ = 0;  // slots ever handed out
+    std::vector<std::uint32_t> free_;
+    /// In retirement order; the oldest are recycled first.
+    std::vector<std::uint32_t> retired_;
+  };
+
+  /// Slots retired before a seal at `epoch`: the prefixes of the pools'
+  /// retired lists up to these ends.
+  struct Batch {
+    std::uint64_t epoch;
+    std::size_t states_end;
+    std::size_t chunks_end;
+  };
+
+  Pool<NodeState> states_;
+  Pool<TableChunk> chunks_;
+  std::vector<Batch> sealed_;
+  /// Edit tokens, issued in increasing order, so a recycled chunk's stale
+  /// token never matches a later edit.
+  std::uint64_t next_token_ = 0;
+  std::size_t peak_live_ = 0;
+  std::size_t peak_retired_ = 0;
+
+  std::mutex pin_mutex_;
+  std::vector<std::uint64_t> pinned_;  // sorted ascending, with repeats
+};
+
+class NodeTable {
+ public:
   static constexpr unsigned kBits = 5;
   static constexpr unsigned kFanout = 1u << kBits;
   static constexpr unsigned kMaxLevels = 7;  // 7 * 5 bits cover every u32 id
@@ -64,7 +190,7 @@ class NodeTable {
 
     const_iterator() = default;
     [[nodiscard]] value_type operator*() const {
-      return {static_cast<NodeId>(id_), leaf_->slots[id_ % kFanout].get()};
+      return {static_cast<NodeId>(id_), &table_->arena_->state(leaf_->slots[id_ % kFanout])};
     }
     const_iterator& operator++();
     const_iterator operator++(int) {
@@ -85,25 +211,22 @@ class NodeTable {
     void seek(std::uint64_t from);
 
     const NodeTable* table_ = nullptr;
-    const Leaf* leaf_ = nullptr;  // null at end()
+    const TableChunk* leaf_ = nullptr;  // null at end()
     std::uint64_t id_ = 0;
   };
 
+  /// The empty table.
   NodeTable() = default;
-  // Copies share every chunk and cost one reference count. A move would
-  // leave an inconsistent husk, so there is none: moves copy.
-  NodeTable(const NodeTable&) = default;
-  NodeTable& operator=(const NodeTable&) = default;
 
   [[nodiscard]] const NodeState* find(NodeId id) const {
     const std::uint64_t key = id;
     if (levels_ == 0 || (key >> (kBits * levels_)) != 0) return nullptr;
-    const Chunk* chunk = root_.get();
-    for (unsigned level = levels_ - 1; level > 0; --level) {
-      chunk = static_cast<const Branch*>(chunk)->children[digit(key, level)].get();
-      if (chunk == nullptr) return nullptr;
+    std::uint32_t slot = root_;
+    for (unsigned level = levels_ - 1;; --level) {
+      slot = arena_->chunk(slot).slots[digit(key, level)];
+      if (slot == TableChunk::kEmpty) return nullptr;
+      if (level == 0) return &arena_->state(slot);
     }
-    return static_cast<const Leaf*>(chunk)->slots[digit(key, 0)].get();
   }
   [[nodiscard]] bool contains(NodeId id) const { return find(id) != nullptr; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -114,26 +237,14 @@ class NodeTable {
   [[nodiscard]] const_iterator end() const { return {}; }
 
  private:
-  struct Chunk {
-    /// Token of the edit that may still write this chunk in place; an edit
-    /// that finds any other token copies the chunk first.
-    std::uint64_t edit = 0;
-    /// Bit i set: slot / child i is occupied (a child is never empty).
-    std::uint32_t occupied = 0;
-  };
-  struct Leaf : Chunk {
-    std::array<StatePtr, kFanout> slots;
-  };
-  struct Branch : Chunk {
-    std::array<std::shared_ptr<Chunk>, kFanout> children;
-  };
-
   [[nodiscard]] static unsigned digit(std::uint64_t key, unsigned level) {
     return static_cast<unsigned>(key >> (kBits * level)) % kFanout;
   }
 
-  /// Non-null whenever levels_ > 0.
-  std::shared_ptr<Chunk> root_;
+  /// Set by the first Editor; every slot below root_ lives in *arena_.
+  const NodeArena* arena_ = nullptr;
+  /// A chunk whenever levels_ > 0.
+  std::uint32_t root_ = TableChunk::kEmpty;
   unsigned levels_ = 0;
   std::size_t size_ = 0;
 };
@@ -143,17 +254,27 @@ class NodeTable {
 /// still show through it.
 class NodeTable::Editor {
  public:
-  /// O(1): shares every chunk of `base` until a write copies it.
-  explicit Editor(NodeTable base);
+  /// O(1): shares every chunk of `base`, which must be empty or live in
+  /// `arena`, until a write copies it.
+  Editor(NodeArena& arena, NodeTable base);
   Editor(const Editor&) = delete;
   Editor& operator=(const Editor&) = delete;
 
   [[nodiscard]] const NodeTable& table() const { return table_; }
   [[nodiscard]] const NodeState* find(NodeId id) const { return table_.find(id); }
 
-  /// Inserts or replaces id's state; `state` must be non-null.
-  void set(NodeId id, StatePtr state);
-  /// Removes id; false (and no copy) when it is not in the table.
+  /// A state slot for the caller to fill and then set(), or to hand back
+  /// with discard(). A recycled slot keeps its previous contents, so the
+  /// caller assigns every field; its lists keep their capacity.
+  [[nodiscard]] std::uint32_t new_state() { return arena_.states_.acquire(); }
+  [[nodiscard]] NodeState& state(std::uint32_t slot) { return arena_.states_[slot]; }
+  void discard(std::uint32_t slot) { arena_.states_.release(slot); }
+
+  /// Makes `slot` (from new_state()) id's state, retiring the one it
+  /// replaces.
+  void set(NodeId id, std::uint32_t slot);
+  /// Removes id, retiring its state; false (and no copy) when it is not in
+  /// the table.
   bool erase(NodeId id);
 
   /// Chunks this edit copied or created so far.
@@ -164,11 +285,12 @@ class NodeTable::Editor {
   [[nodiscard]] NodeTable commit();
 
  private:
-  /// The chunk `ref` points at, owned by this edit: copied (or created when
-  /// `ref` is null) unless this edit already owns it.
-  template <typename T>
-  T& writable(std::shared_ptr<Chunk>& ref);
+  /// The chunk `ref` names, owned by this edit: copied (or created when
+  /// `ref` is kEmpty) unless this edit already owns it. A copied original
+  /// is retired.
+  TableChunk& writable(std::uint32_t& ref);
 
+  NodeArena& arena_;
   NodeTable table_;
   std::uint64_t token_;
   std::uint64_t copies_ = 0;

@@ -1,12 +1,13 @@
 // Immutable, versioned views of the service's functional topology.
 //
 // The service answers F(u, v) from a Snapshot: an epoch number plus the
-// NodeTable of live nodes' immutable states (position, tentative neighbor
-// list N(u), validated functional list). Consecutive snapshots share every
-// table chunk and per-node state an event did not touch -- ingesting an
-// event path-copies only the chunks above the nodes inside the affected
-// radio disc -- so readers holding an old epoch cost nothing but its
-// retention.
+// NodeTable of live nodes' states (position, tentative neighbor list N(u),
+// validated functional list). Consecutive snapshots share the service's
+// NodeArena and every table chunk and state an event did not touch --
+// ingesting an event path-copies only the chunks above the nodes inside the
+// affected radio disc -- and a snapshot pins its epoch in the arena for its
+// lifetime, so nothing it reaches is recycled while it lives. Readers
+// holding an old epoch cost nothing but the slots it keeps from recycling.
 //
 // canonical_json() / digest() deliberately exclude the epoch: they describe
 // the topology itself, so an incrementally-maintained snapshot and a
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "service/node_table.h"
@@ -25,12 +27,17 @@ namespace snd::service {
 
 class Snapshot {
  public:
-  /// `nodes` is shared, not copied: the service hands the same committed
-  /// table to the snapshot it publishes and to the next epoch's edit.
+  /// `nodes` is a committed table living in `arena`, which the snapshot
+  /// keeps alive and pins at `epoch` until it is destroyed (on any thread).
   Snapshot(std::uint64_t epoch, std::size_t threshold_t, double radio_range,
-           NodeTable nodes)
+           NodeTable nodes, std::shared_ptr<NodeArena> arena)
       : epoch_(epoch), threshold_t_(threshold_t), radio_range_(radio_range),
-        nodes_(std::move(nodes)) {}
+        nodes_(nodes), arena_(std::move(arena)) {
+    arena_->pin(epoch_);
+  }
+  ~Snapshot() { arena_->unpin(epoch_); }
+  Snapshot(const Snapshot&) = delete;
+  Snapshot& operator=(const Snapshot&) = delete;
 
   /// Monotonic version: bumped once per publish (event or batch).
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
@@ -60,6 +67,7 @@ class Snapshot {
   std::size_t threshold_t_;
   double radio_range_;
   NodeTable nodes_;
+  std::shared_ptr<NodeArena> arena_;
 };
 
 }  // namespace snd::service

@@ -38,10 +38,12 @@
 // the evaluations. Everything else is structurally shared with the previous
 // epoch: the node table path-copies only the chunks above the states it
 // replaces (service/node_table.h), so an event costs O(touched nodes · table
-// height), whatever n is. rebuild() recomputes the world from scratch,
-// evaluating each tentative edge once; the equivalence suite asserts that it,
-// the incremental path and a brute-force oracle agree byte for byte after
-// arbitrary event sequences.
+// height), whatever n is. Next states are written straight into recycled
+// arena slots through a reused scratch list, so a steady-state event makes
+// no heap allocation per touched node. rebuild() recomputes the world from
+// scratch, evaluating each tentative edge once; the equivalence suite
+// asserts that it, the incremental path and a brute-force oracle agree byte
+// for byte after arbitrary event sequences.
 //
 // ## Concurrency
 //
@@ -49,8 +51,10 @@
 // the caller (the daemon's ingest loop is single-threaded). Readers call
 // snapshot() from any thread: publication swaps a shared_ptr under a short
 // mutex, and a reader keeps its Snapshot alive for as long as it likes
-// without ever blocking ingestion (tests/service_stress_test runs this
-// under TSan).
+// without ever blocking ingestion. A snapshot pins its epoch in the
+// service's NodeArena and unpins it when destroyed, on whichever thread
+// drops it last; it stays readable after the service is gone
+// (tests/service_stress_test runs this under TSan).
 #pragma once
 
 #include <cstdint>
@@ -84,8 +88,9 @@ class SpatialGrid {
   void insert(NodeId id, util::Vec2 position);
   void erase(NodeId id, util::Vec2 position);
 
-  /// Ids of indexed nodes within `radius` of `center` (inclusive), sorted.
-  [[nodiscard]] std::vector<NodeId> query_disc(util::Vec2 center, double radius) const;
+  /// Replaces `out` with the ids of indexed nodes within `radius` of
+  /// `center` (inclusive), sorted.
+  void query_disc(util::Vec2 center, double radius, std::vector<NodeId>& out) const;
 
  private:
   struct Entry {
@@ -170,6 +175,9 @@ class ValidationService {
   /// is not counted. Seeding makes one per undirected tentative edge, an
   /// event at most one per adjacent pair inside its disc(s).
   [[nodiscard]] std::uint64_t pair_checks() const { return pair_checks_; }
+  /// Slot counts of the arena behind every published snapshot. Ingest
+  /// thread only.
+  [[nodiscard]] ArenaUsage arena_usage() const { return arena_->usage(); }
 
   /// C(id) over id's current tentative list, or nullptr when id is not
   /// live or no master key is configured. Maintained incrementally: each
@@ -184,9 +192,18 @@ class ValidationService {
   [[nodiscard]] std::size_t commitment_count() const { return commitments_.size(); }
 
  private:
-  /// Tentative list for `id`: live nodes within R, excluding `id` itself.
-  [[nodiscard]] topology::NeighborList derive_neighbors(NodeId id,
-                                                        util::Vec2 position) const;
+  /// One state an event can change, in apply_locked's scratch list.
+  struct Touched {
+    NodeId id;
+    std::uint32_t slot;  // arena slot holding the next state
+    bool was_adjacent;   // in N(e) before the event
+    bool is_adjacent;    // in N(e) after it
+    bool dirty;          // next differs from the published state
+  };
+
+  /// Replaces `out` with the tentative list for `id`: live nodes within R,
+  /// excluding `id` itself.
+  void derive_neighbors(NodeId id, util::Vec2 position, topology::NeighborList& out) const;
   /// Writes the from-scratch states of `nodes` (all indexed in grid_) into
   /// an empty `table`: every tentative list, then every validated list, one
   /// threshold evaluation per undirected tentative edge. Returns the number
@@ -204,10 +221,16 @@ class ValidationService {
 
   ServiceConfig config_;
   SpatialGrid grid_;
+  /// Holds every state and chunk of table_ and of the snapshots published
+  /// from it; each Snapshot shares it and pins its epoch.
+  std::shared_ptr<NodeArena> arena_;
   /// The current epoch's table, shared with the published Snapshot; each
   /// apply / apply_all edits it through a NodeTable::Editor (O(1) to open,
   /// then one path copy per touched chunk) and commits the result.
   NodeTable table_;
+  /// apply_locked's scratch lists, reused so they keep their capacity.
+  std::vector<Touched> touched_;
+  topology::NeighborList disc_;
   std::uint64_t epoch_ = 0;
   std::uint64_t events_applied_ = 0;
   std::uint64_t table_copies_ = 0;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,11 +14,59 @@
 #include <vector>
 
 #include "service/events.h"
+#include "service/node_table.h"
 #include "service/validation_service.h"
 #include "util/rng.h"
 
 namespace snd::service {
 namespace {
+
+std::vector<std::pair<NodeId, util::Vec2>> uniform_nodes(std::size_t count, double width,
+                                                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::pair<NodeId, util::Vec2>> nodes;
+  for (std::size_t i = 1; i <= count; ++i) {
+    nodes.emplace_back(static_cast<NodeId>(i),
+                       util::Vec2{rng.uniform(0.0, width), rng.uniform(0.0, width)});
+  }
+  return nodes;
+}
+
+std::vector<NodeId> ids_of(const std::vector<std::pair<NodeId, util::Vec2>>& nodes) {
+  std::vector<NodeId> ids;
+  for (const auto& [id, position] : nodes) ids.push_back(id);
+  return ids;
+}
+
+template <typename T>
+void shuffle(std::vector<T>& items, util::Rng& rng) {
+  for (std::size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[rng.uniform_int(i)]);
+  }
+}
+
+/// Releases `held` one element at a time, in shuffled order.
+template <typename T>
+void release_shuffled(std::vector<T>& held, util::Rng& rng) {
+  shuffle(held, rng);
+  while (!held.empty()) held.pop_back();
+}
+
+/// Applies `event` and returns how many states it could have replaced: e
+/// and every node within R of e's old or new position.
+std::size_t apply_counting_touched(ValidationService& service, const TopologyEvent& event) {
+  const auto neighbors_of = [&](NodeId id) {
+    const NodeState* state = service.snapshot()->find(id);
+    return state == nullptr ? topology::NeighborList{} : state->neighbors;
+  };
+  const topology::NeighborList before = neighbors_of(event.node);
+  EXPECT_TRUE(service.apply(event).ok);
+  const topology::NeighborList after = neighbors_of(event.node);
+  topology::NeighborList disc;
+  std::set_union(before.begin(), before.end(), after.begin(), after.end(),
+                 std::back_inserter(disc));
+  return disc.size() + 1;
+}
 
 TEST(ServiceStressTest, ConcurrentReadersDuringIngestion) {
   const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
@@ -164,6 +213,123 @@ TEST(ServiceStressTest, EveryRetainedEpochStaysImmutable) {
     EXPECT_EQ(snapshot->epoch(), epochs.front().first->epoch() + i);
     EXPECT_EQ(snapshot->canonical_json(), json) << "epoch " << snapshot->epoch();
   }
+}
+
+TEST(ServiceStressTest, RetainedEpochsSurviveShuffledRelease) {
+  // Every 7th epoch is retained for the whole run; the others are held in
+  // groups of 32 and dropped in shuffled order, so unpins arrive out of
+  // epoch order and leave holes in the pinned set.
+  const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
+  ValidationService service({25.0, 2, {}});
+  const auto initial = uniform_nodes(150, 150.0, 23);
+  ASSERT_TRUE(service.seed_topology(initial).ok);
+  util::Rng rng(31);
+  const auto events = random_events(2'300, field, ids_of(initial), 29);
+
+  std::vector<std::pair<std::shared_ptr<const Snapshot>, std::string>> retained;
+  std::vector<std::shared_ptr<const Snapshot>> held;
+  for (std::size_t i = 0; i < 2'000; ++i) {
+    ASSERT_TRUE(service.apply(events[i]).ok);
+    auto snapshot = service.snapshot();
+    if (snapshot->epoch() % 7 == 0) {
+      std::string json = snapshot->canonical_json();
+      retained.emplace_back(std::move(snapshot), std::move(json));
+    } else {
+      held.push_back(std::move(snapshot));
+      if (held.size() == 32) release_shuffled(held, rng);
+    }
+  }
+  release_shuffled(held, rng);
+  ASSERT_EQ(retained.size(), 285u);  // epochs 7, 14, ..., 1995
+  for (const auto& [snapshot, json] : retained) {
+    EXPECT_EQ(snapshot->canonical_json(), json) << "epoch " << snapshot->epoch();
+  }
+  EXPECT_GT(service.arena_usage().retired_states, 0u);
+
+  // With every retained epoch gone, the next publish recycles all they kept:
+  // from then on the arena holds the live states plus at most what one
+  // event replaced, event after event.
+  release_shuffled(retained, rng);
+  for (std::size_t i = 2'000; i < events.size(); ++i) {
+    const std::size_t touched = apply_counting_touched(service, events[i]);
+    const ArenaUsage usage = service.arena_usage();
+    ASSERT_EQ(usage.live_states, service.node_count()) << "event " << i;
+    ASSERT_LE(usage.retired_states, touched) << "event " << i;
+  }
+  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+}
+
+TEST(ServiceStressTest, RecycledSlotsNeverReachAPinnedEpoch) {
+  // Each epoch is held for a random 1 to 48 further events and checked when
+  // dropped. Slots of epochs older than every held one are recycled under
+  // the held ones all along, so a slot recycled too early shows up here.
+  const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
+  ValidationService service({25.0, 2, {}});
+  const auto initial = uniform_nodes(150, 150.0, 41);
+  ASSERT_TRUE(service.seed_topology(initial).ok);
+  util::Rng rng(43);
+  struct Held {
+    std::size_t until;
+    std::shared_ptr<const Snapshot> snapshot;
+    std::string json;
+  };
+  std::vector<Held> held;
+  // Most slots one event can retire: the chunks it copies plus the states
+  // it touches.
+  std::uint64_t most_retired = 0;
+  const auto events = random_events(1'500, field, ids_of(initial), 47);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::uint64_t copies = service.table_copies();
+    const std::size_t touched = apply_counting_touched(service, events[i]);
+    most_retired = std::max(most_retired, service.table_copies() - copies + touched);
+    auto snapshot = service.snapshot();
+    std::string json = snapshot->canonical_json();
+    held.push_back({i + 1 + rng.uniform_int(48), std::move(snapshot), std::move(json)});
+    shuffle(held, rng);
+    for (std::size_t k = held.size(); k-- > 0;) {
+      if (held[k].until > i) continue;
+      ASSERT_EQ(held[k].snapshot->canonical_json(), held[k].json)
+          << "epoch " << held[k].snapshot->epoch() << " at event " << i;
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+  }
+  for (const Held& h : held) EXPECT_EQ(h.snapshot->canonical_json(), h.json);
+  // Recycling kept up: an epoch held 48 events keeps at most the slots of
+  // the 49 batches sealed after it, plus the open one, from recycling.
+  const ArenaUsage usage = service.arena_usage();
+  EXPECT_GT(usage.peak_retired_slots, 0u);
+  EXPECT_LE(usage.peak_retired_slots, 50 * most_retired);
+}
+
+TEST(ServiceStressTest, SnapshotOutlivesItsService) {
+  const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
+  const auto initial = uniform_nodes(100, 120.0, 53);
+  std::shared_ptr<const Snapshot> kept;
+  std::shared_ptr<const Snapshot> rebuilt;
+  std::string json;
+  {
+    ValidationService service({25.0, 2, {}});
+    ASSERT_TRUE(service.seed_topology(initial).ok);
+    const auto events = random_events(200, field, ids_of(initial), 59);
+    for (std::size_t i = 0; i < 100; ++i) ASSERT_TRUE(service.apply(events[i]).ok);
+    kept = service.snapshot();
+    rebuilt = service.rebuild();
+    json = kept->canonical_json();
+    ASSERT_EQ(rebuilt->canonical_json(), json);
+    // Later epochs retire what `kept` reaches; it must still hold it.
+    for (std::size_t i = 100; i < events.size(); ++i) ASSERT_TRUE(service.apply(events[i]).ok);
+  }
+  EXPECT_EQ(kept->canonical_json(), json);
+  EXPECT_EQ(rebuilt->canonical_json(), json);
+  // The last owners let go on another thread: the unpin and the arena's
+  // destruction happen there.
+  std::thread reader([kept = std::move(kept), rebuilt = std::move(rebuilt), &json]() mutable {
+    EXPECT_EQ(kept->digest(), rebuilt->digest());
+    EXPECT_EQ(kept->canonical_json(), json);
+    kept.reset();
+    rebuilt.reset();
+  });
+  reader.join();
 }
 
 }  // namespace

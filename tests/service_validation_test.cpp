@@ -219,14 +219,43 @@ TEST(ValidationServiceTest, PairChecksVisitEachPairOnce) {
   EXPECT_GT(event_checks, 0u);
 }
 
-TEST(NodeTableTest, MatchesMapModelAndCommittedTablesNeverChange) {
+/// A fresh state whose position.x carries `tag`, so a test can tell states
+/// apart by content rather than by address.
+std::uint32_t tagged_state(NodeTable::Editor& edit, double tag) {
+  const std::uint32_t slot = edit.new_state();
+  edit.state(slot) = NodeState{{tag, 0.0}, {}, {}};
+  return slot;
+}
+
+void expect_table_matches(const NodeTable& table, const std::map<NodeId, double>& expected) {
+  ASSERT_EQ(table.size(), expected.size());
+  std::map<NodeId, double> seen;
+  NodeId last = 0;
+  for (const auto& [id, state] : table) {
+    EXPECT_TRUE(seen.empty() || id > last) << "iteration not ascending at " << id;
+    last = id;
+    seen[id] = state->position.x;
+    EXPECT_EQ(table.find(id), state);
+  }
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(NodeTableTest, MatchesMapModelAndPinnedTablesNeverChange) {
+  // Tables stay pinned for a random while and are checked when unpinned, so
+  // later edits recycle slots of older, unpinned tables under them.
   util::Rng rng(5);
+  NodeArena arena;
   NodeTable table;
-  std::map<NodeId, const NodeState*> model;
-  std::vector<std::pair<NodeTable, std::map<NodeId, const NodeState*>>> committed;
-  std::vector<std::shared_ptr<const NodeState>> states;
-  for (int round = 0; round < 60; ++round) {
-    NodeTable::Editor edit(table);
+  std::map<NodeId, double> model;
+  struct Pinned {
+    std::uint64_t epoch;
+    NodeTable table;
+    std::map<NodeId, double> model;
+  };
+  std::vector<Pinned> pinned;
+  double tag = 0.0;
+  for (std::uint64_t epoch = 1; epoch <= 200; ++epoch) {
+    NodeTable::Editor edit(arena, table);
     for (int op = 0; op < 40; ++op) {
       // Mostly small ids (shared chunks, pruning), some anywhere in u32.
       const NodeId id = rng.chance(0.8) ? static_cast<NodeId>(rng.uniform_int(300))
@@ -234,42 +263,46 @@ TEST(NodeTableTest, MatchesMapModelAndCommittedTablesNeverChange) {
       if (rng.chance(0.3)) {
         EXPECT_EQ(edit.erase(id), model.erase(id) == 1) << id;
       } else {
-        states.push_back(std::make_shared<const NodeState>());
-        edit.set(id, states.back());
-        model[id] = states.back().get();
+        tag += 1.0;
+        edit.set(id, tagged_state(edit, tag));
+        model[id] = tag;
       }
-      ASSERT_EQ(edit.find(id), model.count(id) != 0 ? model[id] : nullptr) << id;
+      const NodeState* found = edit.find(id);
+      ASSERT_EQ(found != nullptr, model.count(id) != 0) << id;
+      if (found != nullptr) {
+        ASSERT_EQ(found->position.x, model[id]) << id;
+      }
     }
     table = edit.commit();
-    committed.emplace_back(table, model);
-  }
-  for (const auto& [snapshot, expected] : committed) {
-    ASSERT_EQ(snapshot.size(), expected.size());
-    std::map<NodeId, const NodeState*> seen;
-    NodeId last = 0;
-    for (const auto& [id, state] : snapshot) {
-      EXPECT_TRUE(seen.empty() || id > last) << "iteration not ascending at " << id;
-      last = id;
-      seen[id] = state;
-      EXPECT_EQ(snapshot.find(id), state);
+    arena.pin(epoch);
+    pinned.push_back({epoch, table, model});
+    while (pinned.size() > 8 || (!pinned.empty() && rng.chance(0.3))) {
+      const std::size_t k = rng.uniform_int(pinned.size());
+      expect_table_matches(pinned[k].table, pinned[k].model);
+      arena.unpin(pinned[k].epoch);
+      pinned.erase(pinned.begin() + static_cast<std::ptrdiff_t>(k));
     }
-    EXPECT_EQ(seen, expected);
+    arena.seal(epoch);
   }
+  for (const Pinned& kept : pinned) expect_table_matches(kept.table, kept.model);
+  // Every state set is either in the newest table or retired: none leaks.
+  EXPECT_EQ(arena.usage().live_states, table.size());
 }
 
 TEST(NodeTableTest, OneEditCopiesEachChunkOnce) {
-  NodeTable::Editor first{NodeTable{}};
-  for (NodeId id = 0; id < 64; ++id) first.set(id, std::make_shared<const NodeState>());
+  NodeArena arena;
+  NodeTable::Editor first(arena, NodeTable{});
+  for (NodeId id = 0; id < 64; ++id) first.set(id, first.new_state());
   const NodeTable base = first.commit();
   ASSERT_EQ(base.levels(), 2u);  // a root over two leaves
 
-  NodeTable::Editor edit(base);
+  NodeTable::Editor edit(arena, base);
   EXPECT_EQ(edit.copies(), 0u);
-  edit.set(3, std::make_shared<const NodeState>());
+  edit.set(3, edit.new_state());
   EXPECT_EQ(edit.copies(), 2u);  // root and leaf 0
-  edit.set(5, std::make_shared<const NodeState>());
+  edit.set(5, edit.new_state());
   EXPECT_EQ(edit.copies(), 2u);  // both already owned by this edit
-  edit.set(40, std::make_shared<const NodeState>());
+  edit.set(40, edit.new_state());
   EXPECT_EQ(edit.copies(), 3u);  // plus leaf 1
   EXPECT_FALSE(edit.erase(1000));
   EXPECT_EQ(edit.copies(), 3u);  // erasing an absent id copies nothing
@@ -278,10 +311,13 @@ TEST(NodeTableTest, OneEditCopiesEachChunkOnce) {
   EXPECT_EQ(base.find(4), next.find(4));
   // commit() retired the token: the next write copies root and leaf again.
   const NodeState* committed = next.find(6);
-  edit.set(6, std::make_shared<const NodeState>());
+  edit.set(6, edit.new_state());
   EXPECT_EQ(edit.copies(), 5u);
   EXPECT_EQ(next.find(6), committed);
   EXPECT_NE(edit.find(6), committed);
+  // The three copied chunks and the three replaced states wait for a seal.
+  EXPECT_EQ(arena.usage().retired_chunks, 3u + 2u);
+  EXPECT_EQ(arena.usage().retired_states, 3u + 1u);
 }
 
 TEST(ValidationServiceTest, SnapshotsAreImmutableVersions) {
