@@ -73,23 +73,22 @@ void BM_BindingCommitment(benchmark::State& state) {
 }
 BENCHMARK(BM_BindingCommitment)->Arg(10)->Arg(50)->Arg(150);
 
+/// The tier that pins a commitment-batch lane width: 1 is the serial seed
+/// path (kScalar: portable compressor), 8 the AVX2 multi-buffer kernel.
+util::SimdTier width_tier(int width) {
+  return width == 8 ? util::SimdTier::kAvx2 : util::SimdTier::kScalar;
+}
+
 /// Batched commitment derivation through the multi-buffer engine. Arg 0 is
-/// the neighbor-list length, arg 1 the lane width (1 = serial seed path,
-/// 4 = SSE2, 8 = AVX2); unsupported widths are skipped.
+/// the neighbor-list length, arg 1 the lane width (1 or 8); width 8 is
+/// skipped on CPUs without AVX2.
 void BM_BindingCommitmentBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(1));
-  if (width == 4 && util::detected_simd_tier() < util::SimdTier::kSse2) {
-    state.SkipWithError("SSE2 not available");
-    return;
-  }
   if (width == 8 && util::detected_simd_tier() < util::SimdTier::kAvx2) {
     state.SkipWithError("AVX2 not available");
     return;
   }
-  util::set_simd_enabled(width > 1);
-  util::set_forced_simd_tier(width == 4 ? std::optional(util::SimdTier::kSse2)
-                             : width == 8 ? std::optional(util::SimdTier::kAvx2)
-                                          : std::nullopt);
+  util::set_forced_simd_tier(width_tier(width));
 
   constexpr std::size_t kBatch = 256;
   std::vector<topology::NeighborList> lists(kBatch);
@@ -106,13 +105,9 @@ void BM_BindingCommitmentBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
-  util::set_simd_enabled(true);
   util::set_forced_simd_tier(std::nullopt);
 }
-BENCHMARK(BM_BindingCommitmentBatch)
-    ->Args({50, 1})
-    ->Args({50, 4})
-    ->Args({50, 8});
+BENCHMARK(BM_BindingCommitmentBatch)->Args({50, 1})->Args({50, 8});
 
 void BM_BindingRecordVerify(benchmark::State& state) {
   const crypto::SymmetricKey master = crypto::SymmetricKey::from_seed(4);
@@ -293,12 +288,9 @@ struct CommitmentCost {
 
 /// Wall-clock of batched binding-commitment derivation (256 commitments per
 /// drain, 50-entry neighbor lists) at one lane width: 1 pins the serial seed
-/// path, 4/8 pin the SSE2/AVX2 multi-buffer kernels.
+/// path, 8 the AVX2 multi-buffer kernel.
 CommitmentCost measure_commitments(int width, int rounds) {
-  util::set_simd_enabled(width > 1);
-  util::set_forced_simd_tier(width == 4 ? std::optional(util::SimdTier::kSse2)
-                             : width == 8 ? std::optional(util::SimdTier::kAvx2)
-                                          : std::nullopt);
+  util::set_forced_simd_tier(width_tier(width));
   constexpr std::size_t kBatch = 256;
   constexpr std::size_t kNeighbors = 50;
   std::vector<topology::NeighborList> lists(kBatch);
@@ -319,7 +311,6 @@ CommitmentCost measure_commitments(int width, int rounds) {
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   cost.hash_ops = crypto::hash_op_count() - ops_before;
-  util::set_simd_enabled(true);
   util::set_forced_simd_tier(std::nullopt);
   const double total = static_cast<double>(rounds) * kBatch;
   cost.us_per_commit = seconds / total * 1e6;
@@ -327,24 +318,21 @@ CommitmentCost measure_commitments(int width, int rounds) {
   return cost;
 }
 
-/// Commitment-throughput width series (serial vs 4-lane vs 8-lane), appended
-/// to the artifact. The speedups are trend values only: a wall-clock ratio
-/// of two loops on a shared host is not a pass/fail fact. Returns 0 when
-/// the exact contract holds: every width the CPU has produces the serial
-/// path's commitments byte for byte, with the same number of compressions.
+/// Commitment-throughput width series (serial vs 8-lane), appended to the
+/// artifact. The speedup is a trend value only: a wall-clock ratio of two
+/// loops on a shared host is not a pass/fail fact. Returns 0 when the exact
+/// contract holds: on CPUs with AVX2, width 8 produces the serial path's
+/// commitments byte for byte, with the same number of compressions.
 int write_commitment_batch_block(char* json, std::size_t cap) {
   constexpr int kRounds = 200;
-  const bool have_sse2 = util::detected_simd_tier() >= util::SimdTier::kSse2;
   const bool have_avx2 = util::detected_simd_tier() >= util::SimdTier::kAvx2;
 
   const CommitmentCost w1 = measure_commitments(1, kRounds);
-  const CommitmentCost w4 = have_sse2 ? measure_commitments(4, kRounds) : w1;
   const CommitmentCost w8 = have_avx2 ? measure_commitments(8, kRounds) : w1;
 
-  const double w4_speedup = have_sse2 ? w1.us_per_commit / w4.us_per_commit : 0.0;
   const double w8_speedup = have_avx2 ? w1.us_per_commit / w8.us_per_commit : 0.0;
-  const bool identical = w4.digests == w1.digests && w8.digests == w1.digests;
-  const bool same_work = w4.hash_ops == w1.hash_ops && w8.hash_ops == w1.hash_ops;
+  const bool identical = w8.digests == w1.digests;
+  const bool same_work = w8.hash_ops == w1.hash_ops;
   const double commits = static_cast<double>(kRounds) * static_cast<double>(w1.digests.size());
 
   std::snprintf(json, cap,
@@ -352,26 +340,21 @@ int write_commitment_batch_block(char* json, std::size_t cap) {
                 "    \"batch_size\": 256,\n"
                 "    \"neighbors\": 50,\n"
                 "    \"w1_us_per_commit\": %.3f,\n"
-                "    \"w4_us_per_commit\": %.3f,\n"
                 "    \"w8_us_per_commit\": %.3f,\n"
-                "    \"w4_speedup\": %.2f,\n"
                 "    \"w8_speedup\": %.2f,\n"
                 "    \"w1_commits_per_s\": %.0f,\n"
-                "    \"w4_commits_per_s\": %.0f,\n"
                 "    \"w8_commits_per_s\": %.0f,\n"
                 "    \"hash_ops_per_commit\": %.2f,\n"
                 "    \"widths_identical\": %s\n"
                 "  }\n",
-                w1.us_per_commit, have_sse2 ? w4.us_per_commit : 0.0,
-                have_avx2 ? w8.us_per_commit : 0.0, w4_speedup, w8_speedup, w1.commits_per_s,
-                have_sse2 ? w4.commits_per_s : 0.0, have_avx2 ? w8.commits_per_s : 0.0,
+                w1.us_per_commit, have_avx2 ? w8.us_per_commit : 0.0, w8_speedup,
+                w1.commits_per_s, have_avx2 ? w8.commits_per_s : 0.0,
                 static_cast<double>(w1.hash_ops) / commits,
                 identical && same_work ? "true" : "false");
-  std::printf("commitment batch: serial %.2f us, w4 %.2f us (%.2fx), w8 %.2f us (%.2fx)\n",
-              w1.us_per_commit, w4.us_per_commit, w4_speedup, w8.us_per_commit, w8_speedup);
-  std::printf("commitment widths: digests %s, hash ops %llu / %llu / %llu\n",
+  std::printf("commitment batch: serial %.2f us, w8 %.2f us (%.2fx)\n", w1.us_per_commit,
+              w8.us_per_commit, w8_speedup);
+  std::printf("commitment widths: digests %s, hash ops %llu / %llu\n",
               identical ? "identical" : "DIFFER", static_cast<unsigned long long>(w1.hash_ops),
-              static_cast<unsigned long long>(w4.hash_ops),
               static_cast<unsigned long long>(w8.hash_ops));
   return identical && same_work ? 0 : 1;
 }

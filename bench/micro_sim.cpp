@@ -250,15 +250,15 @@ int write_resolution_artifact() {
   const RoundTimings grid = measure(kNodes, /*use_index=*/true, kRounds);
 
   // Strip-filter series: the same field with the vectorized candidate
-  // classifier on (SND_SIMD default) vs the scalar per-candidate filter
-  // (the seed path), in both resolution modes. The flag is latched at
-  // Network construction, so flip it around measure()'s field setup. The
+  // classifier on (the detected tier) vs the scalar per-candidate filter
+  // (the kScalar seed path), in both resolution modes. The tier is latched
+  // at Network construction, so pin it around measure()'s field setup. The
   // grid already prunes to a 3x3 block, so the strip mostly helps the
   // full-scan shape, where nearly every candidate is a definite Out.
-  util::set_simd_enabled(false);
+  util::set_forced_simd_tier(util::SimdTier::kScalar);
   const RoundTimings strip_off_grid = measure(kNodes, /*use_index=*/true, kRounds);
   const RoundTimings strip_off_linear = measure(kNodes, /*use_index=*/false, kRounds);
-  util::set_simd_enabled(true);
+  util::set_forced_simd_tier(std::nullopt);
   const RoundTimings strip_on_grid = measure(kNodes, /*use_index=*/true, kRounds);
   const RoundTimings strip_on_linear = measure(kNodes, /*use_index=*/false, kRounds);
   const double strip_grid_speedup = strip_on_grid.resolution_s > 0.0

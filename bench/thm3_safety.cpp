@@ -11,6 +11,11 @@
 // c-1 compromised identities -- so the attack needs c - 1 >= t + 1, i.e.
 // c >= t + 2, to break containment. The table sweeps c across the t
 // boundary: zero violations up to c = t + 1, violations beyond.
+//
+// The run is also an executable check of the theorem: it exits 1 if any
+// trial with c <= t shows a 2R violation (the guarantee is broken), or if
+// no trial with c >= t + 2 shows one (the attack harness is broken, so the
+// zeros below the boundary would prove nothing).
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -124,6 +129,8 @@ int main(int argc, char** argv) {
 
   util::Table table({"compromised c", "prediction", "2R violations", "max impact radius (m)",
                      "fresh nodes fooled"});
+  std::size_t guaranteed_violations = 0;  // trials with c <= t that broke 2R
+  std::size_t breakable_violations = 0;   // trials with c >= t + 2 that did
   for (std::size_t ci = 0; ci < c_count; ++ci) {
     const std::size_t c = ci + 1;
     util::RunningStats violations;
@@ -132,6 +139,8 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < seeds; ++s) {
       const auto& outcome = outcomes[ci * seeds + s];
       if (!outcome.has_value()) continue;
+      if (outcome->violations > 0 && c <= t) ++guaranteed_violations;
+      if (outcome->violations > 0 && c >= t + 2) ++breakable_violations;
       violations.add(static_cast<double>(outcome->violations));
       radius.add(outcome->max_radius);
       fooled.add(static_cast<double>(outcome->fooled_fresh_nodes));
@@ -147,9 +156,21 @@ int main(int argc, char** argv) {
             << "strongest clique attack in fact needs c >= t+2), violations with impact\n"
             << "radius ~ field diagonal once c crosses t+2.\n";
 
+  bool theorem_holds = true;
+  if (guaranteed_violations > 0) {
+    std::cout << "\nFAIL: " << guaranteed_violations
+              << " trial(s) with c <= t broke 2R-safety (Theorem 3 violated)\n";
+    theorem_holds = false;
+  }
+  if (breakable_violations == 0) {
+    std::cout << "\nFAIL: no trial with c >= t+2 broke 2R-safety; the attack harness "
+                 "is not exercising the boundary\n";
+    theorem_holds = false;
+  }
+
   const std::string path = report.write_json();
   std::cout << "\n[" << report.trials << " trials, " << report.failed << " failed, "
             << util::Table::num(report.trials_per_second(), 1) << " trials/s"
             << (path.empty() ? "" : ", perf -> " + path) << "]\n";
-  return report.failed == 0 ? 0 : 1;
+  return report.failed == 0 && theorem_holds ? 0 : 1;
 }

@@ -12,7 +12,9 @@ lower is better) or a throughput ("*per_s*": higher is better).
 A tracked mean more than --threshold above the previous run emits a GitHub
 "::warning" annotation (or "::error" + exit 1 with --fail); missing previous
 artifacts are not an error, so the gate degrades gracefully on the first
-run, on forks, and on expired artifact retention.
+run, on forks, and on expired artifact retention. Series present on only one
+side (new, renamed or retired keys) get one log line each and are not
+compared.
 """
 
 import argparse
@@ -107,6 +109,12 @@ def main():
                   f"({(ratio - 1.0) * 100.0:+.1f}%){marker}")
             if marker:
                 regressions.append((name, path, before, now, ratio))
+
+        for path in sorted(previous.keys() - current.keys()):
+            # The mirror case: a retired or renamed series leaves the gate,
+            # and the log says so instead of dropping it without a trace.
+            print(f"bench-trend: {name}:{path}: series absent from current run; "
+                  f"no longer compared")
 
     for name, path, before, now, ratio in regressions:
         level = "error" if args.fail else "warning"

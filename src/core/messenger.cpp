@@ -72,9 +72,9 @@ bool Messenger::send(NodeId to, std::uint8_t type, const util::Bytes& payload,
 }
 
 std::size_t Messenger::send_many(std::span<const Outgoing> messages) {
-  // Serial fallback keeps send() semantics verbatim when SIMD batching is
-  // off or a second hash lane would never fill.
-  if (!util::simd_enabled() || messages.size() < 2) {
+  // Serial fallback keeps send() semantics verbatim at the kScalar tier or
+  // when a second hash lane would never fill.
+  if (util::active_simd_tier() == util::SimdTier::kScalar || messages.size() < 2) {
     std::size_t sent = 0;
     for (const Outgoing& m : messages) {
       if (send(m.to, m.type, m.payload, m.phase)) ++sent;

@@ -106,11 +106,10 @@ namespace detail {
 void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
   // Single-stream hardware path for the traffic that cannot ride the
   // multi-buffer engine (receive-side HMAC verifies, one-off derivations).
-  // Gated like every wide path: SND_SIMD=0 or a forced-scalar tier restores
-  // the portable loop below, which is also the non-x86 and pre-SHA-NI path.
+  // Gated like every wide path: the kScalar tier restores the portable loop
+  // below, which is also the non-x86 and pre-SHA-NI path.
 #if defined(__x86_64__) || defined(__i386__)
-  if (shani_supported() && util::simd_enabled() &&
-      util::active_simd_tier() != util::SimdTier::kScalar) {
+  if (shani_supported() && util::active_simd_tier() != util::SimdTier::kScalar) {
     sha256_compress_shani(state, block);
     return;
   }

@@ -1,7 +1,6 @@
 #include "crypto/sha256_mb.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
 #include <numeric>
@@ -19,12 +18,12 @@ namespace snd::crypto {
 
 namespace {
 
-using util::load_u32_be;
 using util::store_u32_be;
 
-/// Widest lane count any kernel uses; transposed state rows are padded to
-/// this stride so every kernel shares one layout.
-constexpr int kMaxWidth = 8;
+#if SND_SHA256_MB_X86
+
+/// Lane count of the AVX2 kernel; transposed state rows have this stride.
+constexpr int kLanes = 8;
 
 /// One job's block stream: the full 64-byte blocks of its data buffer
 /// followed by 1-2 padding blocks materialized in `pad` (FIPS 180-4: 0x80,
@@ -63,164 +62,10 @@ void build_lane(Lane& lane, std::size_t job, std::span<const std::uint8_t> data,
   }
 }
 
-// ---- Portable W-lane kernel ----------------------------------------------
-// Identical 32-bit arithmetic to detail::sha256_compress, applied lane by
-// lane; the compiler is free to vectorize the inner loops (SWAR-style), and
-// on targets without SSE2/AVX2 this is the dispatch floor.
-void compress_lanes_generic(std::uint32_t state[8][kMaxWidth],
-                            const std::uint8_t* const blocks[kMaxWidth], int lanes) {
-  std::uint32_t w[64][kMaxWidth];
-  for (int i = 0; i < 16; ++i) {
-    for (int l = 0; l < lanes; ++l) w[i][l] = load_u32_be(blocks[l] + 4 * i);
-  }
-  for (int i = 16; i < 64; ++i) {
-    for (int l = 0; l < lanes; ++l) {
-      const std::uint32_t x15 = w[i - 15][l];
-      const std::uint32_t x2 = w[i - 2][l];
-      const std::uint32_t s0 = std::rotr(x15, 7) ^ std::rotr(x15, 18) ^ (x15 >> 3);
-      const std::uint32_t s1 = std::rotr(x2, 17) ^ std::rotr(x2, 19) ^ (x2 >> 10);
-      w[i][l] = w[i - 16][l] + s0 + w[i - 7][l] + s1;
-    }
-  }
-  std::uint32_t v[8][kMaxWidth];
-  for (int r = 0; r < 8; ++r) {
-    for (int l = 0; l < lanes; ++l) v[r][l] = state[r][l];
-  }
-  for (int i = 0; i < 64; ++i) {
-    for (int l = 0; l < lanes; ++l) {
-      const std::uint32_t a = v[0][l];
-      const std::uint32_t e = v[4][l];
-      const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-      const std::uint32_t ch = (e & v[5][l]) ^ (~e & v[6][l]);
-      const std::uint32_t t1 = v[7][l] + s1 + ch + detail::kRoundConstants[static_cast<std::size_t>(i)] + w[i][l];
-      const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-      const std::uint32_t maj = (a & v[1][l]) ^ (a & v[2][l]) ^ (v[1][l] & v[2][l]);
-      const std::uint32_t t2 = s0 + maj;
-      v[7][l] = v[6][l];
-      v[6][l] = v[5][l];
-      v[5][l] = e;
-      v[4][l] = v[3][l] + t1;
-      v[3][l] = v[2][l];
-      v[2][l] = v[1][l];
-      v[1][l] = a;
-      v[0][l] = t1 + t2;
-    }
-  }
-  for (int r = 0; r < 8; ++r) {
-    for (int l = 0; l < lanes; ++l) state[r][l] += v[r][l];
-  }
-}
-
-#if SND_SHA256_MB_X86
-
-// ---- SSE2 x4 -------------------------------------------------------------
+// ---- AVX2 x8 -------------------------------------------------------------
 // Wide integer adds are mod-2^32 exactly like the scalar code, so lanes are
 // bit-identical by construction. Per-function target attributes keep the
-// rest of the library buildable without -msse2/-mavx2 globally.
-
-__attribute__((target("sse2"))) inline __m128i rotr32_sse2(__m128i v, int n) {
-  return _mm_or_si128(_mm_srli_epi32(v, n), _mm_slli_epi32(v, 32 - n));
-}
-
-/// Schedule expansion + 64 rounds + Davies-Meyer add, shared between the
-/// SSE2 gather loader and the SSSE3 transpose loader (always_inline so each
-/// target-attributed caller gets its own copy; the body itself needs only
-/// SSE2, a subset of both callers' ISAs).
-__attribute__((target("sse2"), always_inline)) inline void sha256_rounds_x4(
-    std::uint32_t state[8][kMaxWidth], __m128i w[64]) {
-  for (int i = 16; i < 64; ++i) {
-    const __m128i x15 = w[i - 15];
-    const __m128i x2 = w[i - 2];
-    const __m128i s0 = _mm_xor_si128(
-        _mm_xor_si128(rotr32_sse2(x15, 7), rotr32_sse2(x15, 18)), _mm_srli_epi32(x15, 3));
-    const __m128i s1 = _mm_xor_si128(
-        _mm_xor_si128(rotr32_sse2(x2, 17), rotr32_sse2(x2, 19)), _mm_srli_epi32(x2, 10));
-    w[i] = _mm_add_epi32(_mm_add_epi32(w[i - 16], s0), _mm_add_epi32(w[i - 7], s1));
-  }
-  __m128i v[8];
-  for (int r = 0; r < 8; ++r) {
-    v[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state[r]));
-  }
-#pragma GCC unroll 8
-  for (int i = 0; i < 64; ++i) {
-    const __m128i a = v[0];
-    const __m128i e = v[4];
-    const __m128i s1 = _mm_xor_si128(
-        _mm_xor_si128(rotr32_sse2(e, 6), rotr32_sse2(e, 11)), rotr32_sse2(e, 25));
-    const __m128i ch = _mm_xor_si128(_mm_and_si128(e, v[5]), _mm_andnot_si128(e, v[6]));
-    const __m128i k =
-        _mm_set1_epi32(static_cast<int>(detail::kRoundConstants[static_cast<std::size_t>(i)]));
-    const __m128i t1 = _mm_add_epi32(_mm_add_epi32(_mm_add_epi32(v[7], s1), _mm_add_epi32(ch, k)),
-                                     w[i]);
-    const __m128i s0 = _mm_xor_si128(
-        _mm_xor_si128(rotr32_sse2(a, 2), rotr32_sse2(a, 13)), rotr32_sse2(a, 22));
-    const __m128i maj = _mm_xor_si128(
-        _mm_xor_si128(_mm_and_si128(a, v[1]), _mm_and_si128(a, v[2])), _mm_and_si128(v[1], v[2]));
-    const __m128i t2 = _mm_add_epi32(s0, maj);
-    v[7] = v[6];
-    v[6] = v[5];
-    v[5] = e;
-    v[4] = _mm_add_epi32(v[3], t1);
-    v[3] = v[2];
-    v[2] = v[1];
-    v[1] = a;
-    v[0] = _mm_add_epi32(t1, t2);
-  }
-  for (int r = 0; r < 8; ++r) {
-    const __m128i sum =
-        _mm_add_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state[r])), v[r]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(state[r]), sum);
-  }
-}
-
-__attribute__((target("sse2"))) void compress_lanes_sse2(
-    std::uint32_t state[8][kMaxWidth], const std::uint8_t* const blocks[kMaxWidth]) {
-  __m128i w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = _mm_set_epi32(static_cast<int>(load_u32_be(blocks[3] + 4 * i)),
-                         static_cast<int>(load_u32_be(blocks[2] + 4 * i)),
-                         static_cast<int>(load_u32_be(blocks[1] + 4 * i)),
-                         static_cast<int>(load_u32_be(blocks[0] + 4 * i)));
-  }
-  sha256_rounds_x4(state, w);
-}
-
-/// SSSE3 loader: 4x4 u32 transposes (unpack) plus pshufb byte swaps replace
-/// the 64 scalar big-endian loads of the plain SSE2 loader. Same w[] values
-/// bit for bit -- only how the lanes' bytes reach the vector registers
-/// changes; virtually every x86-64 CPU takes this path.
-__attribute__((target("ssse3"))) void compress_lanes_ssse3(
-    std::uint32_t state[8][kMaxWidth], const std::uint8_t* const blocks[kMaxWidth]) {
-  const __m128i bswap =
-      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
-  __m128i w[64];
-  for (int g = 0; g < 4; ++g) {
-    const __m128i q0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[0] + 16 * g));
-    const __m128i q1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[1] + 16 * g));
-    const __m128i q2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[2] + 16 * g));
-    const __m128i q3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[3] + 16 * g));
-    const __m128i t0 = _mm_unpacklo_epi32(q0, q1);
-    const __m128i t1 = _mm_unpackhi_epi32(q0, q1);
-    const __m128i t2 = _mm_unpacklo_epi32(q2, q3);
-    const __m128i t3 = _mm_unpackhi_epi32(q2, q3);
-    w[4 * g + 0] = _mm_shuffle_epi8(_mm_unpacklo_epi64(t0, t2), bswap);
-    w[4 * g + 1] = _mm_shuffle_epi8(_mm_unpackhi_epi64(t0, t2), bswap);
-    w[4 * g + 2] = _mm_shuffle_epi8(_mm_unpacklo_epi64(t1, t3), bswap);
-    w[4 * g + 3] = _mm_shuffle_epi8(_mm_unpackhi_epi64(t1, t3), bswap);
-  }
-  sha256_rounds_x4(state, w);
-}
-
-[[nodiscard]] bool ssse3_supported() {
-  static const bool supported = __builtin_cpu_supports("ssse3");
-  return supported;
-}
-
-// ---- AVX2 x8 -------------------------------------------------------------
+// rest of the library buildable without -mavx2 globally.
 
 __attribute__((target("avx2"))) inline __m256i rotr32_avx2(__m256i v, int n) {
   return _mm256_or_si256(_mm256_srli_epi32(v, n), _mm256_slli_epi32(v, 32 - n));
@@ -230,7 +75,7 @@ __attribute__((target("avx2"))) inline __m256i rotr32_avx2(__m256i v, int n) {
 /// plus vpshufb byte swaps, run once per 32-byte half of the block. Replaces
 /// 128 scalar big-endian loads per block with 16 loads and 64 shuffles.
 __attribute__((target("avx2"))) void compress_lanes_avx2(
-    std::uint32_t state[8][kMaxWidth], const std::uint8_t* const blocks[kMaxWidth]) {
+    std::uint32_t state[8][kLanes], const std::uint8_t* const blocks[kLanes]) {
   const __m256i bswap = _mm256_broadcastsi128_si256(
       _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12));
   __m256i w[64];
@@ -374,11 +219,13 @@ HashBatch::Job& HashBatch::Job::update_u64(std::uint64_t v) {
 void HashBatch::run() {
   assert(!ran_);
   ran_ = true;
-  if (live_ >= 2 && util::simd_enabled()) {
+#if SND_SHA256_MB_X86
+  if (live_ >= 2 && util::active_simd_tier() == util::SimdTier::kAvx2) {
     run_wide();
-  } else {
-    run_serial();
+    return;
   }
+#endif
+  run_serial();
 }
 
 void HashBatch::run_serial() {
@@ -396,14 +243,8 @@ void HashBatch::run_serial() {
   }
 }
 
-void HashBatch::run_wide() {
-  const util::SimdTier tier = util::active_simd_tier();
 #if SND_SHA256_MB_X86
-  const int width = tier == util::SimdTier::kAvx2 ? 8 : 4;
-#else
-  const int width = 4;
-#endif
-
+void HashBatch::run_wide() {
   // Scheduling scratch, reused across drains (ingest loops drain thousands
   // of batches; re-allocating 256 lanes per drain showed up in profiles).
   static thread_local std::vector<Lane> lanes;
@@ -415,17 +256,16 @@ void HashBatch::run_wide() {
   active.resize(live_);
   std::iota(active.begin(), active.end(), std::size_t{0});
 
-  std::uint32_t st[8][kMaxWidth];
-  const std::uint8_t* blocks[kMaxWidth];
+  std::uint32_t st[8][kLanes];
+  const std::uint8_t* blocks[kLanes];
 
-  // A group is the first min(width, active) lanes; it runs as many blocks
+  // A group is the first min(kLanes, active) lanes; it runs as many blocks
   // as its shortest member has left, so the state transposes amortize over
   // the whole run (uniform batches -- the common case -- transpose once per
   // job, not once per block). Exhausted lanes then retire, and when only
   // one remains it finishes on the shared scalar compressor.
   while (active.size() >= 2) {
-    const int k = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(width),
-                                                         active.size()));
+    const int k = static_cast<int>(std::min<std::size_t>(kLanes, active.size()));
     std::size_t run = lanes[active[0]].total_blocks() - lanes[active[0]].next;
     for (int l = 0; l < k; ++l) {
       Lane& lane = lanes[active[static_cast<std::size_t>(l)]];
@@ -433,7 +273,7 @@ void HashBatch::run_wide() {
       for (int r = 0; r < 8; ++r) st[r][l] = jobs_[lane.job].state[static_cast<std::size_t>(r)];
     }
     // Idle vector lanes replay the last real lane so every load is defined.
-    for (int l = k; l < kMaxWidth; ++l) {
+    for (int l = k; l < kLanes; ++l) {
       for (int r = 0; r < 8; ++r) st[r][l] = st[r][k - 1];
     }
 
@@ -442,23 +282,8 @@ void HashBatch::run_wide() {
         Lane& lane = lanes[active[static_cast<std::size_t>(l)]];
         blocks[l] = lane.block(lane.next + b);
       }
-      for (int l = k; l < kMaxWidth; ++l) blocks[l] = blocks[k - 1];
-
-#if SND_SHA256_MB_X86
-      if (width == 8) {
-        compress_lanes_avx2(st, blocks);
-      } else if (tier == util::SimdTier::kSse2) {
-        if (ssse3_supported()) {
-          compress_lanes_ssse3(st, blocks);
-        } else {
-          compress_lanes_sse2(st, blocks);
-        }
-      } else {
-        compress_lanes_generic(st, blocks, k);
-      }
-#else
-      compress_lanes_generic(st, blocks, k);
-#endif
+      for (int l = k; l < kLanes; ++l) blocks[l] = blocks[k - 1];
+      compress_lanes_avx2(st, blocks);
     }
     detail::add_hash_ops(static_cast<std::uint64_t>(k) * run);
 
@@ -493,6 +318,7 @@ void HashBatch::run_wide() {
     }
   }
 }
+#endif  // SND_SHA256_MB_X86
 
 const Digest& HashBatch::digest(std::size_t index) const {
   assert(ran_ && index < live_);

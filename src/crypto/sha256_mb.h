@@ -1,17 +1,18 @@
-// Multi-buffer SHA-256: independent digests computed 4 or 8 streams at a
-// time. SHA-256 has no cross-message data flow, so W messages can share one
-// pass of the compression function with the working variables held in W-lane
-// vectors -- each lane performs exactly the 32-bit arithmetic of the scalar
-// code, making the digests bit-identical to crypto::Sha256 by construction.
+// Multi-buffer SHA-256: independent digests computed 8 streams at a time.
+// SHA-256 has no cross-message data flow, so 8 messages can share one pass
+// of the compression function with the working variables held in 8-lane
+// AVX2 vectors -- each lane performs exactly the 32-bit arithmetic of the
+// scalar code, making the digests bit-identical to crypto::Sha256 by
+// construction.
 //
 // HashBatch is the collection point: hot paths that used to hash one item
 // at a time (commitment generation over a neighbor set, binding-record
 // flood MACs, service recompute rechecks) append jobs -- optionally resuming
 // a saved midstate, which is how batched HMAC reuses the ipad/opad work --
-// and drain them through run(). Dispatch picks the widest kernel the CPU
-// offers (AVX2 x8, SSE2 x4, portable 4-wide scalar otherwise; see
-// util::active_simd_tier()); SND_SIMD=0 or a batch of one job falls back to
-// the serial seed path. Ragged batches are fine: lanes retire as their
+// and drain them through run(). The wide kernel runs only when
+// util::active_simd_tier() is kAvx2; every other tier, and a batch of one
+// job, drains serially through Sha256 (which itself uses SHA-NI where the
+// tier and CPU allow). Ragged batches are fine: lanes retire as their
 // (padded) block streams end and the last survivor finishes scalar.
 //
 // The per-thread compression counter (crypto::hash_op_count, feeding the
@@ -58,8 +59,8 @@ class HashBatch {
 
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Computes every pending digest. Wide when util::simd_enabled() and at
-  /// least two jobs are pending; serial scalar otherwise. Digests and the
+  /// Computes every pending digest. Wide when the active tier is kAvx2 and
+  /// at least two jobs are pending; serial otherwise. Digests and the
   /// per-thread compression count are identical either way.
   void run();
 

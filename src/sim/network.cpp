@@ -41,7 +41,8 @@ Network::Network(std::unique_ptr<PropagationModel> propagation, ChannelConfig co
   cell_size_ = propagation_->max_range();
   indexable_ = std::isfinite(cell_size_) && cell_size_ > 0.0;
   use_spatial_index_ = indexable_;
-  strip_filter_ = util::simd_enabled() && propagation_->supports_link_classes();
+  strip_filter_ = util::active_simd_tier() != util::SimdTier::kScalar &&
+                  propagation_->supports_link_classes();
 }
 
 std::shared_ptr<const Packet> Network::share_packet(Packet&& packet) {

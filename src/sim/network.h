@@ -229,10 +229,10 @@ class Network {
   // set_position alongside Device::position. transmit_impl feeds candidate
   // strips from these (contiguous doubles, not scattered Device fields)
   // into PropagationModel::classify_links, which emits a survivor-class
-  // mask ahead of the scalar delivery bookkeeping. Enabled when the SIMD
-  // gate was on at construction and the model supports link classes;
-  // results are bit-identical either way (definite verdicts imply the
-  // scalar predicate; borderline candidates re-check scalar).
+  // mask ahead of the scalar delivery bookkeeping. Enabled when the active
+  // SIMD tier was above kScalar at construction and the model supports link
+  // classes; results are bit-identical either way (definite verdicts imply
+  // the scalar predicate; borderline candidates re-check scalar).
   std::vector<double> pos_x_;
   std::vector<double> pos_y_;
   /// Scratch reused across transmissions: gathered candidate positions

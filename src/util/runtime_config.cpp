@@ -12,15 +12,6 @@ std::optional<std::string> env_string(const char* name) {
   return std::string(value);
 }
 
-/// The boolean vocabulary of SND_SIMD: anything but an explicit "0" / "off"
-/// / "false" keeps the feature enabled.
-bool env_enabled(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const std::string_view value(raw);
-  return !(value == "0" || value == "off" || value == "false");
-}
-
 RuntimeConfig& mutable_config() {
   static RuntimeConfig config = load_runtime_config_from_env();
   return config;
@@ -33,7 +24,6 @@ RuntimeConfig load_runtime_config_from_env() {
   if (auto jobs = env_string("SND_JOBS")) {
     config.jobs = std::strtoll(jobs->c_str(), nullptr, 10);
   }
-  config.simd = env_enabled("SND_SIMD", true);
   config.log_level = env_string("SND_LOG_LEVEL");
   config.trace_level = env_string("SND_TRACE_LEVEL");
   config.trace_json = env_string("SND_TRACE_JSON");

@@ -7,9 +7,6 @@
 // Variables and their meaning (flags always beat the environment):
 //
 //   SND_JOBS         worker threads for Monte-Carlo sweeps (--jobs fallback)
-//   SND_SIMD         "0|off|false" disables the batched/wide execution layer
-//                    (multi-buffer SHA-256, strip candidate filtering) and
-//                    forces the one-at-a-time seed paths (default: on)
 //   SND_LOG_LEVEL    harness log level (--log fallback)
 //   SND_TRACE_LEVEL  trace verbosity (--trace fallback)
 //   SND_TRACE_JSON   JSON-lines event stream destination (--trace-json)
@@ -31,8 +28,6 @@ namespace snd {
 struct RuntimeConfig {
   /// SND_JOBS; nullopt when unset or empty.
   std::optional<std::int64_t> jobs;
-  /// SND_SIMD; defaults to the batched/wide hot-loop layer.
-  bool simd = true;
   /// SND_LOG_LEVEL / SND_TRACE_LEVEL / SND_TRACE_JSON / SND_TRACE_BIN,
   /// verbatim; parsed and validated by obs::resolve_obs.
   std::optional<std::string> log_level;
@@ -51,9 +46,8 @@ struct RuntimeConfig {
 /// use this to check parsing without perturbing the process state.
 [[nodiscard]] RuntimeConfig load_runtime_config_from_env();
 
-/// Replaces the singleton (tests only). Subsystems that latched a value at
-/// static-init time (util::simd_enabled) keep their own runtime setters;
-/// this affects future runtime_config() readers.
+/// Replaces the singleton (tests only); affects future runtime_config()
+/// readers.
 void set_runtime_config_for_testing(const RuntimeConfig& config);
 
 /// `bench_dir`-aware artifact path: "<bench_dir>/<filename>" when

@@ -2,16 +2,9 @@
 
 #include <atomic>
 
-#include "util/runtime_config.h"
-
 namespace snd::util {
 
 namespace {
-
-std::atomic<bool>& simd_flag() {
-  static std::atomic<bool> enabled{runtime_config().simd};
-  return enabled;
-}
 
 SimdTier probe_tier() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -31,12 +24,6 @@ std::atomic<int>& forced_tier() {
 
 }  // namespace
 
-bool simd_enabled() { return simd_flag().load(std::memory_order_relaxed); }
-
-void set_simd_enabled(bool enabled) {
-  simd_flag().store(enabled, std::memory_order_relaxed);
-}
-
 SimdTier detected_simd_tier() {
   static const SimdTier tier = probe_tier();
   return tier;
@@ -49,6 +36,8 @@ SimdTier active_simd_tier() {
   const auto wanted = static_cast<SimdTier>(forced);
   return wanted < ceiling ? wanted : ceiling;
 }
+
+bool simd_enabled() { return active_simd_tier() != SimdTier::kScalar; }
 
 void set_forced_simd_tier(std::optional<SimdTier> tier) {
   forced_tier().store(tier ? static_cast<int>(*tier) : kNoForce,

@@ -1,23 +1,24 @@
-// Process-wide switch and CPU-feature probe for the batched/wide execution
-// layer: the multi-buffer SHA-256 engine (crypto/sha256_mb) and the strip
-// candidate filter in sim::Network.
+// CPU-feature probe for the batched/wide execution layer: the multi-buffer
+// SHA-256 engine (crypto/sha256_mb), the single-stream SHA-NI compressor
+// and the strip candidate filter in sim::Network.
 //
-// Defaults to on; the environment variable SND_SIMD=0|off|false selects the
-// one-at-a-time seed paths at startup (for A/B bit-identity checks and the
-// before/after micro benchmarks). Both paths make identical decisions in
-// identical order -- CI asserts the fig3 event stream and the fig4 canonical
-// report byte-identical across the switch. It is the one remaining runtime
-// switch of this kind because it still shows a measured win and its scalar
-// paths are the fallback on CPUs without the wide kernels.
+// One decision drives every wide path: active_simd_tier(), resolved once
+// from CPUID (GCC/Clang __builtin_cpu_supports) on x86-64 and kScalar
+// elsewhere. Each tier maps to these paths:
 //
-// The tier probe answers "which wide kernel may run", resolved once from
-// CPUID (GCC/Clang __builtin_cpu_supports) on x86-64 and falling back to the
-// portable 4-wide scalar kernel elsewhere. Tests and benches can pin a tier
-// below the detected one with set_forced_simd_tier(); forcing a tier the CPU
-// lacks is ignored (the probe result is a ceiling, never a floor).
+//   kAvx2    batches run the AVX2 8-lane kernel; single streams use SHA-NI
+//            where the CPU has it; the strip filter runs AVX2.
+//   kSse2    batches drain serially through Sha256 (SHA-NI where present);
+//            the strip filter runs SSE2.
+//   kScalar  the seed paths: portable compressor, no strip filter, serial
+//            Messenger::send_many.
 //
-// Consumers that capture the flag at construction (sim::Network) flip it
-// (tests only) before building the object under measurement.
+// All tiers make identical decisions in identical order; the committed
+// golden digests (state, event order, property suite) are asserted at
+// every tier. Tests and benches lower the tier with set_forced_simd_tier();
+// forcing a tier the CPU lacks is clamped (the probe result is a ceiling,
+// never a floor). Consumers that latch the tier at construction
+// (sim::Network) must be built after the tier is pinned.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +27,9 @@
 
 namespace snd::util {
 
-[[nodiscard]] bool simd_enabled();
-void set_simd_enabled(bool enabled);
-
 /// Widest kernel the process may use, ordered so `a < b` means "narrower".
 enum class SimdTier : std::uint8_t {
-  kScalar = 0,  // portable 4-wide scalar (SWAR-style) kernels
+  kScalar = 0,  // portable one-at-a-time seed paths
   kSse2 = 1,    // 4 x u32 / 2 x f64 vectors
   kAvx2 = 2,    // 8 x u32 / 4 x f64 vectors
 };
@@ -41,6 +39,9 @@ enum class SimdTier : std::uint8_t {
 
 /// The tier kernels should dispatch on: min(detected, forced-or-detected).
 [[nodiscard]] SimdTier active_simd_tier();
+
+/// True unless the active tier is kScalar: whether any wide path may run.
+[[nodiscard]] bool simd_enabled();
 
 /// Pins dispatch at `tier` (clamped to the detected ceiling) for A/B
 /// width-series benchmarks and cross-tier equivalence tests; nullopt

@@ -5,7 +5,7 @@
 #include <map>
 #include <vector>
 
-#include "util/simd.h"
+#include "forced_tier.h"
 
 namespace snd::core {
 namespace {
@@ -255,18 +255,6 @@ TEST_F(MessengerTest, OutOfOrderDeliveryWithinWindowAccepted) {
   EXPECT_FALSE(bob_->open(captured[1]).has_value());  // replay of the newer
 }
 
-// RAII helper for the SIMD batching gate, mirroring FastPathGuard.
-class SimdGuard {
- public:
-  explicit SimdGuard(bool enabled) : previous_(util::simd_enabled()) {
-    util::set_simd_enabled(enabled);
-  }
-  ~SimdGuard() { util::set_simd_enabled(previous_); }
-
- private:
-  bool previous_;
-};
-
 TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
   // send_many() must be indistinguishable on the wire from calling send()
   // in a loop: same nonces, same MACs, same packet order -- including a
@@ -284,6 +272,7 @@ TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
 
   const auto run_sequential = [&]() {
     captured.clear();
+    const test::ForcedTier forced(util::SimdTier::kScalar);  // the seed path
     Messenger sender(network_, alice_device_, 1, keys_);
     std::size_t sent = 0;
     for (const Messenger::Outgoing& m : burst) {
@@ -292,9 +281,9 @@ TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
     run();
     return std::pair(sent, captured);
   };
-  const auto run_batched = [&](bool simd) {
+  const auto run_batched = [&](util::SimdTier tier) {
     captured.clear();
-    SimdGuard guard(simd);
+    const test::ForcedTier forced(tier);
     Messenger sender(network_, alice_device_, 1, keys_);
     const std::size_t sent = sender.send_many(burst);
     run();
@@ -305,16 +294,16 @@ TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
   ASSERT_EQ(seq_sent, 3u);
   ASSERT_EQ(seq_packets.size(), 3u);
 
-  for (const bool simd : {true, false}) {
-    const auto [batch_sent, batch_packets] = run_batched(simd);
-    EXPECT_EQ(batch_sent, seq_sent) << "simd=" << simd;
-    ASSERT_EQ(batch_packets.size(), seq_packets.size()) << "simd=" << simd;
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const auto [batch_sent, batch_packets] = run_batched(tier);
+    EXPECT_EQ(batch_sent, seq_sent) << test::tier_label(tier);
+    ASSERT_EQ(batch_packets.size(), seq_packets.size()) << test::tier_label(tier);
     for (std::size_t i = 0; i < seq_packets.size(); ++i) {
       EXPECT_EQ(batch_packets[i].src, seq_packets[i].src);
       EXPECT_EQ(batch_packets[i].dst, seq_packets[i].dst);
       EXPECT_EQ(batch_packets[i].type, seq_packets[i].type);
       EXPECT_EQ(batch_packets[i].payload, seq_packets[i].payload)
-          << "simd=" << simd << " i=" << i;
+          << test::tier_label(tier) << " i=" << i;
     }
   }
 }

@@ -10,20 +10,13 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_mb.h"
+#include "forced_tier.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::crypto {
 namespace {
 
-class Sha256MbTest : public ::testing::Test {
- protected:
-  void SetUp() override { util::set_simd_enabled(true); }
-  void TearDown() override {
-    util::set_simd_enabled(true);
-    util::set_forced_simd_tier(std::nullopt);
-  }
-};
+class Sha256MbTest : public ::testing::Test {};
 
 util::Bytes random_bytes(util::Rng& rng, std::size_t n) {
   util::Bytes out(n);
@@ -119,7 +112,7 @@ TEST_F(Sha256MbTest, RandomizedSerialVsBatched) {
 }
 
 // Every dispatch tier at or below the CPU's ceiling produces the same
-// digests (the forced-tier override is how benches pin widths 4 and 8).
+// digests (the forced-tier override is how benches pin widths 1 and 8).
 TEST_F(Sha256MbTest, AllTiersAgree) {
   util::Rng rng(0x7e57);
   std::vector<util::Bytes> messages;
@@ -128,25 +121,26 @@ TEST_F(Sha256MbTest, AllTiersAgree) {
   std::vector<Digest> scalar;
   for (const auto& msg : messages) scalar.push_back(Sha256::hash(msg));
 
-  for (const util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
-    util::set_forced_simd_tier(tier);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const test::ForcedTier forced(tier);
     HashBatch batch;
     for (const auto& msg : messages) batch.add().update(msg);
     batch.run();
     for (std::size_t i = 0; i < messages.size(); ++i) {
-      EXPECT_EQ(batch.digest(i), scalar[i]) << "tier=" << static_cast<int>(tier) << " i=" << i;
+      EXPECT_EQ(batch.digest(i), scalar[i]) << test::tier_label(tier) << " i=" << i;
     }
   }
 }
 
-// SND_SIMD=0 (the runtime gate) must select the serial seed path and still
-// agree, and the batch must behave identically through a clear() cycle.
+// The kScalar tier must select the serial seed path and still agree, and
+// the batch must behave identically through clear() cycles that switch
+// between the serial and wide drains.
 TEST_F(Sha256MbTest, GateOffMatchesAndClearRecycles) {
   util::Rng rng(0x90a7);
   HashBatch batch;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    util::set_simd_enabled(cycle != 1);
+  for (const util::SimdTier tier : {util::SimdTier::kAvx2, util::SimdTier::kScalar,
+                                    util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
+    const test::ForcedTier forced(tier);
     batch.clear();
     std::vector<Digest> expected;
     for (int i = 0; i < 5; ++i) {
@@ -156,7 +150,7 @@ TEST_F(Sha256MbTest, GateOffMatchesAndClearRecycles) {
     }
     batch.run();
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(batch.digest(i), expected[i]) << "cycle=" << cycle;
+      EXPECT_EQ(batch.digest(i), expected[i]) << test::tier_label(tier);
     }
   }
 }
@@ -173,8 +167,8 @@ TEST_F(Sha256MbTest, HashOpCountParity) {
   const SymmetricKey key = SymmetricKey::from_seed(rng.next());
   const HmacKey hmac(key);
 
-  const auto run_once = [&](bool wide) {
-    util::set_simd_enabled(wide);
+  const auto run_once = [&](util::SimdTier tier) {
+    const test::ForcedTier forced(tier);
     reset_hash_op_count();
     HashBatch batch;
     for (const auto& msg : messages) batch.add().update(msg);
@@ -185,11 +179,13 @@ TEST_F(Sha256MbTest, HashOpCountParity) {
     return std::pair(hash_op_count(), digests);
   };
 
-  const auto [serial_ops, serial_digests] = run_once(false);
-  const auto [wide_ops, wide_digests] = run_once(true);
-  EXPECT_EQ(serial_ops, wide_ops);
-  EXPECT_EQ(serial_digests, wide_digests);
+  const auto [serial_ops, serial_digests] = run_once(util::SimdTier::kScalar);
   EXPECT_GT(serial_ops, 0u);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const auto [ops, digests] = run_once(tier);
+    EXPECT_EQ(ops, serial_ops) << test::tier_label(tier);
+    EXPECT_EQ(digests, serial_digests) << test::tier_label(tier);
+  }
 }
 
 // RFC 4231-equivalent check through the midstate-resume interface: a

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "forced_tier.h"
 #include "proptest/oracles.h"
 #include "proptest/runner.h"
 #include "proptest/scenario.h"
@@ -257,19 +258,25 @@ const std::vector<std::string> kCleanSuiteDigests = {
     "4651172c6935bec7872261065e6fe57d821878173a05261ed15ca2f1814d2b03",
 };
 
+// The same table at every SIMD tier up to the CPU's: kScalar runs the
+// serial seed paths, the wide tiers the batched ones.
 TEST(PropSuiteTest, CleanSuiteIsAllGreen) {
   PropConfig config;
   config.trials = 16;
   config.base_seed = 1;
   config.jobs = 1;
   config.failcase_dir.clear();  // no artifacts from the green path
-  const PropReport report = run_property_suite(config);
-  EXPECT_EQ(report.passed, 16u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.errored, 0u);
-  EXPECT_TRUE(report.all_green());
-  EXPECT_TRUE(report.failcases.empty());
-  EXPECT_EQ(report.digests, kCleanSuiteDigests);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const test::ForcedTier forced(tier);
+    SCOPED_TRACE(test::tier_label(tier));
+    const PropReport report = run_property_suite(config);
+    EXPECT_EQ(report.passed, 16u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.errored, 0u);
+    EXPECT_TRUE(report.all_green());
+    EXPECT_TRUE(report.failcases.empty());
+    EXPECT_EQ(report.digests, kCleanSuiteDigests);
+  }
 }
 
 TEST(PropSuiteTest, PlantedBugIsCaughtShrunkAndReplayedBitIdentically) {

@@ -12,13 +12,13 @@
 
 #include "core/commitment.h"
 #include "crypto/key.h"
+#include "forced_tier.h"
 #include "service/events.h"
 #include "service/snapshot.h"
 #include "service/validation_service.h"
 #include "service/wire.h"
 #include "util/bytes.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::service {
 namespace {
@@ -483,8 +483,8 @@ TEST(ServiceCommitmentTest, BatchedMaintenanceMatchesSerialFallback) {
   ServiceConfig config = small_config();
   config.master_key = master;
 
-  auto run = [&](bool simd) {
-    util::set_simd_enabled(simd);
+  auto run = [&](util::SimdTier tier) {
+    const test::ForcedTier forced(tier);
     ValidationService service(config);
     service.seed_topology(clique4());
     service.apply(TopologyEvent::deploy(5, {0.5, 0.5}));
@@ -496,10 +496,10 @@ TEST(ServiceCommitmentTest, BatchedMaintenanceMatchesSerialFallback) {
     }
     return out;
   };
-  const auto batched = run(true);
-  const auto serial = run(false);
-  util::set_simd_enabled(true);
-  EXPECT_EQ(batched, serial);
+  const auto serial = run(util::SimdTier::kScalar);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    EXPECT_EQ(run(tier), serial) << test::tier_label(tier);
+  }
 }
 
 TEST(ServiceCommitmentTest, AbsentMasterKeyDisablesMaintenance) {

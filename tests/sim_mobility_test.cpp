@@ -15,6 +15,7 @@
 
 #include "adversary/mobility.h"
 #include "core/deployment_driver.h"
+#include "forced_tier.h"
 #include "obs/sink.h"
 #include "sim/network.h"
 
@@ -180,8 +181,9 @@ class DigestSink final : public obs::Sink {
 // hashed in emission order. The digest was recorded before the scheduler's
 // heap moved from a binary heap of inline actions to a 4-ary heap of keys
 // over a slot pool: the (time, id) order is total, so no queue layout may
-// change a single byte of the stream.
-TEST(EventOrderGoldenTest, WalkingFig3TrialStreamIsUnchanged) {
+// change a single byte of the stream. Nor may the SIMD tier: the stream is
+// checked at every tier up to the CPU's.
+void expect_walking_fig3_stream() {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {100.0, 100.0}};
   config.radio_range = 50.0;
@@ -211,6 +213,14 @@ TEST(EventOrderGoldenTest, WalkingFig3TrialStreamIsUnchanged) {
   EXPECT_EQ(sink->events_, 302248u);
   EXPECT_EQ(sink->bytes_, 25769743u);
   EXPECT_EQ(sink->hash_, 0xe24dedb8ea820df7ULL);
+}
+
+TEST(EventOrderGoldenTest, WalkingFig3TrialStreamIsUnchanged) {
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const test::ForcedTier forced(tier);
+    SCOPED_TRACE(test::tier_label(tier));
+    expect_walking_fig3_stream();
+  }
 }
 
 }  // namespace

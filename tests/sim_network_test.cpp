@@ -5,8 +5,8 @@
 #include <tuple>
 #include <vector>
 
+#include "forced_tier.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::sim {
 namespace {
@@ -270,21 +270,25 @@ TEST(SpatialIndexTest, GridTrafficBitIdenticalToLinearScan) {
   EXPECT_TRUE(grid == linear);
 }
 
-// The SND_SIMD gate is latched into the Network at construction, so each
-// run_traffic call inside these tests picks up the toggled setting.
+// The strip filter is latched into the Network at construction from the
+// active tier, so each run_traffic call picks up the pinned tier; kScalar
+// is the per-candidate seed filter.
 TEST(SpatialIndexTest, StripFilterTrafficBitIdenticalToScalarFilter) {
-  util::set_simd_enabled(true);
-  const TrafficResult strip_grid = run_traffic(true);
-  const TrafficResult strip_linear = run_traffic(false);
-  util::set_simd_enabled(false);
-  const TrafficResult scalar_grid = run_traffic(true);
-  const TrafficResult scalar_linear = run_traffic(false);
-  util::set_simd_enabled(true);
+  const auto run_at = [](util::SimdTier tier, bool use_index) {
+    const test::ForcedTier forced(tier);
+    return run_traffic(use_index);
+  };
+  const TrafficResult scalar_grid = run_at(util::SimdTier::kScalar, true);
+  const TrafficResult scalar_linear = run_at(util::SimdTier::kScalar, false);
+  EXPECT_TRUE(scalar_grid == scalar_linear);
 
-  EXPECT_GT(strip_grid.deliveries, 100u);
-  EXPECT_TRUE(strip_grid == scalar_grid);
-  EXPECT_TRUE(strip_linear == scalar_linear);
-  EXPECT_TRUE(strip_grid == scalar_linear);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const TrafficResult strip_grid = run_at(tier, true);
+    const TrafficResult strip_linear = run_at(tier, false);
+    EXPECT_GT(strip_grid.deliveries, 100u) << test::tier_label(tier);
+    EXPECT_TRUE(strip_grid == scalar_grid) << test::tier_label(tier);
+    EXPECT_TRUE(strip_linear == scalar_linear) << test::tier_label(tier);
+  }
 }
 
 /// Unit-disk variant: the strip path issues definite In verdicts here (not
@@ -323,13 +327,16 @@ TrafficResult run_unit_disk_traffic() {
 }
 
 TEST(SpatialIndexTest, UnitDiskStripFilterBitIdenticalToScalar) {
-  util::set_simd_enabled(true);
-  const TrafficResult strip = run_unit_disk_traffic();
-  util::set_simd_enabled(false);
-  const TrafficResult scalar = run_unit_disk_traffic();
-  util::set_simd_enabled(true);
-  EXPECT_GT(strip.deliveries, 50u);
-  EXPECT_TRUE(strip == scalar);
+  const auto run_at = [](util::SimdTier tier) {
+    const test::ForcedTier forced(tier);
+    return run_unit_disk_traffic();
+  };
+  const TrafficResult scalar = run_at(util::SimdTier::kScalar);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const TrafficResult strip = run_at(tier);
+    EXPECT_GT(strip.deliveries, 50u) << test::tier_label(tier);
+    EXPECT_TRUE(strip == scalar) << test::tier_label(tier);
+  }
 }
 
 TEST(SpatialIndexTest, DevicesInRangeMatchesLinearScan) {

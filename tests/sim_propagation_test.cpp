@@ -6,8 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "forced_tier.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::sim {
 namespace {
@@ -141,27 +141,19 @@ void expect_classes_sound(const PropagationModel& model, util::Vec2 from,
   }
 }
 
-class StripClassifyTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    util::set_simd_enabled(true);
-    util::set_forced_simd_tier(std::nullopt);
-  }
-};
+class StripClassifyTest : public ::testing::Test {};
 
 // Survivor classes must agree with the scalar filter at every dispatch
 // tier, over candidates packed onto the range boundary (cell-edge cases:
 // exactly range, one ulp either side) and at every ragged strip length.
 TEST_F(StripClassifyTest, UnitDiskClassesSoundAtBoundaries) {
-  util::set_simd_enabled(true);
   const double range = 10.0;
   UnitDiskModel model(range);
   const util::Vec2 from{3.0, -2.0};
 
   util::Rng rng(0xd15c);
-  for (const util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
-    util::set_forced_simd_tier(tier);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const test::ForcedTier forced(tier);
     for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 33u}) {
       std::vector<double> xs;
       std::vector<double> ys;
@@ -187,15 +179,13 @@ TEST_F(StripClassifyTest, UnitDiskClassesSoundAtBoundaries) {
 // Log-normal strips: definite Out only past the truncated-fade cutoff;
 // fade-edge candidates (just inside max_range) must be Check, never In.
 TEST_F(StripClassifyTest, LogNormalClassesSoundAroundFadeEdge) {
-  util::set_simd_enabled(true);
   LogNormalModel model(50.0, 3.0, 6.0, 7);
   const util::Vec2 from{10.0, 20.0};
   const double cutoff = model.max_range();
 
   util::Rng rng(0xfade);
-  for (const util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
-    util::set_forced_simd_tier(tier);
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const test::ForcedTier forced(tier);
     std::vector<double> xs;
     std::vector<double> ys;
     std::vector<std::uint8_t> expected_never_in;

@@ -12,13 +12,16 @@
 // four settings of the two switches gave the same digest for every variant.
 // The lossy variant draws log-normal shadowing, so its constant also
 // depends on libm's log, cos, pow and log10; the others use only IEEE
-// arithmetic and sqrt.
+// arithmetic and sqrt. Every variant must reproduce its constant at every
+// SIMD tier up to the CPU's: the tiers change how hashes and receiver
+// filters are computed, never what they compute.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/deployment_driver.h"
 #include "crypto/sha256.h"
+#include "forced_tier.h"
 
 namespace snd::core {
 namespace {
@@ -104,26 +107,33 @@ Variant erasure_variant() {
   return variant;
 }
 
+void expect_digest_at_every_tier(const Variant& variant, const std::string& golden) {
+  for (const util::SimdTier tier : test::kAllTiers) {
+    const test::ForcedTier forced(tier);
+    EXPECT_EQ(state_digest(variant), golden) << test::tier_label(tier);
+  }
+}
+
 TEST(StateDigestGoldenTest, CleanDeployment) {
-  EXPECT_EQ(state_digest(base_variant(11)),
-            "be833bbbf7388bebb0715aa201f4809d73c479d90a165e58d2e24170f1e2bda9");
-  EXPECT_EQ(state_digest(base_variant(12)),
-            "dbe7c7505c27c9335e8d438a95a93160b6208e4cde9f150afc4552e1d27cf490");
+  expect_digest_at_every_tier(
+      base_variant(11), "be833bbbf7388bebb0715aa201f4809d73c479d90a165e58d2e24170f1e2bda9");
+  expect_digest_at_every_tier(
+      base_variant(12), "dbe7c7505c27c9335e8d438a95a93160b6208e4cde9f150afc4552e1d27cf490");
 }
 
 TEST(StateDigestGoldenTest, LossyShadowedChannel) {
-  EXPECT_EQ(state_digest(lossy_variant()),
-            "6e5b918692a08fc3e99aba456cf1495c86aa3409221311d9772e428adc5aa542");
+  expect_digest_at_every_tier(
+      lossy_variant(), "6e5b918692a08fc3e99aba456cf1495c86aa3409221311d9772e428adc5aa542");
 }
 
 TEST(StateDigestGoldenTest, UpdateExtension) {
-  EXPECT_EQ(state_digest(update_variant()),
-            "165844b246c5ef53be4f119193fc33bef1970c79de87f2d3547dfcf98f1a14df");
+  expect_digest_at_every_tier(
+      update_variant(), "165844b246c5ef53be4f119193fc33bef1970c79de87f2d3547dfcf98f1a14df");
 }
 
 TEST(StateDigestGoldenTest, EarlyErasureHalfDuplex) {
-  EXPECT_EQ(state_digest(erasure_variant()),
-            "b6d653c9c0286bb37e476411bbcf6ff7df021d1930364f0ff2dabbc3cdc81d0d");
+  expect_digest_at_every_tier(
+      erasure_variant(), "b6d653c9c0286bb37e476411bbcf6ff7df021d1930364f0ff2dabbc3cdc81d0d");
 }
 
 }  // namespace
